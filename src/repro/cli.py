@@ -102,7 +102,6 @@ import json
 import os
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -833,18 +832,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # flush the access log / pool / socket.  Exit 0 only on a full
         # drain so supervisors can tell clean restarts from abandoned
         # requests.
-        stop_signal = threading.Event()
-        received: dict[str, int] = {}
-
-        def _on_signal(signum, _frame):  # pragma: no cover - signals
-            received["signum"] = signum
-            stop_signal.set()
-
+        #
+        # The kernel may hand the signal to any of the daemon's threads,
+        # and a main thread blocked on a lock only wakes for a signal
+        # that hits it.  The wakeup fd is written by whichever thread
+        # takes the signal, so the main thread waits on a read of it.
+        wake_read, wake_write = os.pipe()
+        os.set_blocking(wake_write, False)
+        previous_wakeup = signal.set_wakeup_fd(wake_write)
         for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, _on_signal)
-        stop_signal.wait()
-        name = signal.Signals(received.get("signum",
-                                           signal.SIGTERM)).name
+            signal.signal(signum, lambda *_: None)
+        try:
+            signum = os.read(wake_read, 1)[0]
+        finally:
+            signal.set_wakeup_fd(previous_wakeup)
+            os.close(wake_read)
+            os.close(wake_write)
+        name = signal.Signals(signum).name
         print(f"# {name} received: draining "
               f"(inflight={server.inflight()}, "
               f"timeout={args.drain_timeout:g}s)", file=sys.stderr)

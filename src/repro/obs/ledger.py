@@ -25,6 +25,19 @@ configuration and identical measurements share a ``record_id``, while
 ``python -m repro compare A B`` diffs two of them and signals a
 regression (exit 1) when the primary metric grew past the threshold.
 
+Each record is its own ``NNNNNN.json`` file, claimed by seq with
+``O_EXCL`` and fsynced before :func:`append` returns.  Seqs come from a
+per-process, per-directory hint (:class:`_SeqHints`): the directory is
+listed once per process on first use, seqs are then reserved under a
+lock, and it is listed again only when a claim fails because another
+process appended.  An append therefore costs one ``O_EXCL`` create and
+one fsync whatever the ledger's size.  Ordering invariant: a new
+record's seq is greater than that of every record present when the
+appending process last listed the directory, so one process's records
+are numbered in the order it appended them.  Seqs may skip numbers
+(several writers, or a process that reserved and then crashed); readers
+sort by seq and never assume they are dense.
+
 Record references accepted by :func:`resolve`:
 
 * a ``record_id`` prefix (≥ 6 hex chars);
@@ -39,6 +52,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -102,31 +116,32 @@ def make_body(kind: str, target: str, *, spec_hash: str | None = None,
 
 
 # Current records are keyed by sequence number alone; the legacy
-# ``NNNNNN-rid12.json`` form (PR 6) is still read, and still counts when
-# scanning for the next free sequence number.
+# ``NNNNNN-rid12.json`` form (PR 6) is still read, and its seqs are
+# never handed out again.
 _FILE_RE = re.compile(r"^(\d{6})(?:-([0-9a-f]{12}))?\.json$")
 
 
 def append(body: dict, directory: Path | None = None) -> dict:
-    """Append one record to the ledger; returns the stored envelope."""
+    """Append one record to the ledger; returns the stored envelope.
+
+    Costs one ``O_EXCL`` create and one fsync, whatever the ledger's
+    size: the seq comes from this process's hint for the directory (see
+    :class:`_SeqHints`), not from listing it.
+    """
     directory = directory or ledger_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     rid = record_id(body)
-    seq = _next_seq(directory)
+    tail, seq = _HINTS.reserve(directory)
     while True:
         # The claim file is keyed by the sequence number *alone*, so two
-        # concurrent appends can never both own one seq.  (The legacy
-        # rid-suffixed naming only collided when two racing records
-        # shared a 12-hex record-id prefix, which is to say never — both
-        # writers then minted the same seq under different filenames.)
-        if any(directory.glob(f"{seq:06d}-*.json")):
-            seq += 1  # a legacy record already owns this seq
-            continue
+        # concurrent appends can never both own one seq.
         path = directory / f"{seq:06d}.json"
         try:
+            if tail.legacy and any(directory.glob(f"{seq:06d}-*.json")):
+                raise FileExistsError(path)  # a legacy record owns it
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
         except FileExistsError:
-            seq += 1
+            # Another process appended since we last looked.
+            tail, seq = _HINTS.resync(directory)
             continue
         envelope = {"record_id": rid, "seq": seq,
                     "wall_time": time.time(), "body": body}
@@ -141,16 +156,93 @@ def append(body: dict, directory: Path | None = None) -> dict:
                 os.fsync(handle.fileno())
             except OSError:
                 pass
+        tail.anchor = path.name
         return envelope
 
 
-def _next_seq(directory: Path) -> int:
-    highest = 0
-    for entry in directory.iterdir():
-        match = _FILE_RE.match(entry.name)
-        if match:
-            highest = max(highest, int(match.group(1)))
-    return highest + 1
+@dataclass
+class _Tail:
+    """What this process knows about the end of one ledger directory."""
+
+    next_seq: int
+    # A record file known to exist there: if it vanishes, the directory
+    # was cleared or deleted and recreated (ext4 reuses inode numbers).
+    anchor: str | None
+    legacy: bool  # the last listing found NNNNNN-<rid>.json names
+
+
+class _SeqHints:
+    """Per-directory next-seq hints, so appends need not list the ledger.
+
+    Keyed by the directory's ``(st_dev, st_ino)``, which survives a
+    ``chdir`` under a relative ledger path.  A directory is listed once
+    per process on first use; after that seqs are reserved under a lock
+    (the hint moves on by one per reservation), so threads of one
+    process never collide.  Only a failed ``O_EXCL`` claim — another
+    process appended — or a vanished anchor record lists it again.
+
+    Invariant: a new record's seq is greater than that of every record
+    that was present when this process last listed the directory.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tails: dict[tuple[int, int], _Tail] = {}
+
+    def reserve(self, directory: Path) -> tuple[_Tail, int]:
+        """The next seq for ``directory`` (created if missing)."""
+        key = _directory_key(directory)
+        with self._lock:
+            tail = self._tails.get(key)
+            if tail is None or (tail.anchor is not None and not
+                                (directory / tail.anchor).exists()):
+                tail = self._tails[key] = _scan(directory)
+            return self._take(tail)
+
+    def resync(self, directory: Path) -> tuple[_Tail, int]:
+        """List ``directory`` again after a lost claim; the next seq."""
+        key = _directory_key(directory)
+        fresh = _scan(directory)
+        with self._lock:
+            tail = self._tails.setdefault(key, fresh)
+            # Seqs reserved by this process but not yet created do not
+            # show in the listing; never hand them out twice.
+            tail.next_seq = max(tail.next_seq, fresh.next_seq)
+            tail.legacy = fresh.legacy
+            return self._take(tail)
+
+    @staticmethod
+    def _take(tail: _Tail) -> tuple[_Tail, int]:
+        seq = tail.next_seq
+        tail.next_seq += 1
+        return tail, seq
+
+
+def _directory_key(directory: Path) -> tuple[int, int]:
+    try:
+        stat = os.stat(directory)
+    except FileNotFoundError:
+        directory.mkdir(parents=True, exist_ok=True)
+        stat = os.stat(directory)
+    return stat.st_dev, stat.st_ino
+
+
+def _scan(directory: Path) -> _Tail:
+    """One listing of ``directory``: the tail just past its records."""
+    highest, anchor, legacy = 0, None, False
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            match = _FILE_RE.match(entry.name)
+            if not match:
+                continue
+            legacy = legacy or match.group(2) is not None
+            seq = int(match.group(1))
+            if seq > highest:
+                highest, anchor = seq, entry.name
+    return _Tail(next_seq=highest + 1, anchor=anchor, legacy=legacy)
+
+
+_HINTS = _SeqHints()
 
 
 def load_records(directory: Path | None = None,

@@ -26,6 +26,7 @@ request mix both derive from ``--seed``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import tempfile
@@ -40,6 +41,7 @@ from repro.cache import ArtifactCache
 from repro.faults import FaultPlan, inject
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeServer
+from repro.serve.pool import pid_alive
 
 __all__ = ["ChaosReport", "run_campaign"]
 
@@ -125,21 +127,28 @@ class ChaosReport:
         }
 
 
-def _snapshot_tmp() -> set[str]:
-    tmp = Path(tempfile.gettempdir())
+def _leaked_dirs(tmp: Path) -> list[str]:
     try:
-        return {entry.name for entry in tmp.iterdir()
-                if entry.name.startswith(LEAK_PREFIXES)}
+        return sorted(entry.name for entry in tmp.iterdir()
+                      if entry.name.startswith(LEAK_PREFIXES))
     except OSError:
-        return set()
+        return []
 
 
-def _pid_alive(pid: int) -> bool:
+@contextlib.contextmanager
+def _private_tmpdir(tmp: Path):
+    """Point this process's temp files (``tempfile.tempdir``) and its
+    children's (``TMPDIR``) at ``tmp`` for the campaign's duration."""
+    saved_tempdir, saved_env = tempfile.tempdir, os.environ.get("TMPDIR")
+    tempfile.tempdir = os.environ["TMPDIR"] = str(tmp)
     try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, PermissionError):
-        return False
-    return True
+        yield
+    finally:
+        tempfile.tempdir = saved_tempdir
+        if saved_env is None:
+            os.environ.pop("TMPDIR", None)
+        else:
+            os.environ["TMPDIR"] = saved_env
 
 
 def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
@@ -160,8 +169,36 @@ def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
     """
     report = ChaosReport(seed=seed, requests=requests)
     started = time.monotonic()
-    tmp_before = _snapshot_tmp()
+    # Every temp dir the daemon and its workers make lands in a private
+    # TMPDIR, so the leak check cannot see another process's builds.
+    root = Path(tempfile.mkdtemp(prefix="repro_chaos_"))
+    tmp = root / "tmp"
+    tmp.mkdir()
+    try:
+        with _private_tmpdir(tmp):
+            _storm(report, root, seed=seed, requests=requests,
+                   clients=clients, kill_rate=kill_rate,
+                   hang_rate=hang_rate, duration=duration,
+                   iterations=iterations, workers=workers,
+                   variants=variants, route=route,
+                   extra_inject=extra_inject, progress=progress)
+        # Leak check: native/build temp dirs that survived the campaign
+        # (give unlinks a moment to land on slow filesystems).
+        time.sleep(0.1)
+        report.leaked_dirs = _leaked_dirs(tmp)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    report.wall_seconds = time.monotonic() - started
+    return report
 
+
+def _storm(report: ChaosReport, root: Path, *, seed: int, requests: int,
+           clients: int, kill_rate: float, hang_rate: float,
+           duration: float | None, iterations: int, workers: int,
+           variants: int, route: str, extra_inject: str,
+           progress) -> None:
+    """The campaign proper: oracle, daemon, clients, faults, teardown."""
+    started = time.monotonic()
     # The oracle: ground-truth checksums straight from the interpreter,
     # computed before any fault plan is armed.
     sources = [_CHAOS_TEMPLATE % {"tag": f"V{index}",
@@ -183,7 +220,6 @@ def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
     plan = FaultPlan.parse(",".join(spec_parts), seed=seed) \
         if spec_parts else FaultPlan(seed=seed)
 
-    root = Path(tempfile.mkdtemp(prefix="repro_chaos_"))
     # A short pool job deadline keeps injected worker-hangs from
     # stalling the campaign: a hang costs seconds, not the production
     # 330 s patience.
@@ -281,17 +317,9 @@ def run_campaign(*, seed: int = 0, requests: int = DEFAULT_REQUESTS,
     worker_pids = list(pool.all_pids) if pool is not None else []
     server.stop()
     deadline = time.monotonic() + 2.0
-    while any(_pid_alive(pid) for pid in worker_pids) \
+    while any(pid_alive(pid) for pid in worker_pids) \
             and time.monotonic() < deadline:
         time.sleep(0.02)
     report.orphan_workers = sum(1 for pid in worker_pids
-                                if _pid_alive(pid))
+                                if pid_alive(pid))
     report.injected = dict(plan.fired)
-    shutil.rmtree(root, ignore_errors=True)
-
-    # Leak check: new native/build temp dirs that survived the campaign
-    # (give unlinks a moment to land on slow filesystems).
-    time.sleep(0.1)
-    report.leaked_dirs = sorted(_snapshot_tmp() - tmp_before)
-    report.wall_seconds = time.monotonic() - started
-    return report

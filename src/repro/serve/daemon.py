@@ -31,7 +31,10 @@ id.  A valid W3C ``traceparent`` header is honoured — its trace id
 flows through every span, event, cache hit/miss, ledger record and the
 access log, and the response carries ``X-Request-Id`` plus the outgoing
 ``traceparent``.  When an access log is configured, each request
-appends one flushed JSONL record (see ``repro tail``).
+appends one flushed JSONL record (see ``repro tail``).  A ``/run``'s
+``serve.request`` span has one child per stage: ``serve.parse``,
+``serve.stream``, ``serve.cache_lookup``, ``serve.execute`` and
+``serve.ledger``.
 
 Concurrent compilations of the *same* cache key are deduplicated: one
 request builds, the rest wait and read the published entry
@@ -359,9 +362,9 @@ class ServeServer:
                 needle = path[len("/debug/trace/"):]
                 return self._json(200, self._trace_of(needle))
             if method == "POST" and path == "/compile":
-                return self._json(200, self._compile(_parse_body(body)))
+                return self._json(200, self._compile(body))
             if method == "POST" and path == "/run":
-                return self._json(200, self._run(_parse_body(body)))
+                return self._json(200, self._run(body))
             raise ApiError(404, "usage", 2,
                            f"no such endpoint: {method} {path}")
         except ApiError as error:
@@ -520,8 +523,9 @@ class ServeServer:
 
     # -- endpoints ------------------------------------------------------------
 
-    def _compile(self, request: dict) -> dict:
-        parsed = self._parse_common(request)
+    def _compile(self, body: bytes) -> dict:
+        with obs_trace.span("serve.parse"):
+            parsed = self._parse_common(_parse_body(body))
         started = time.monotonic()
         with self.admission.admit(parsed["deadline"]), \
                 self._admission(parsed):
@@ -540,20 +544,23 @@ class ServeServer:
             "wall_seconds": time.monotonic() - started,
         }
 
-    def _run(self, request: dict) -> dict:
-        parsed = self._parse_common(request)
-        iterations = request.get("iterations", 10)
-        if not isinstance(iterations, int) or iterations <= 0:
-            raise _usage(f"iterations must be a positive integer, "
-                         f"got {iterations!r}")
-        if iterations > self.max_iterations:
-            raise ApiError(
-                429, "resource-exhausted", 3,
-                f"iterations ({iterations}) exceeds the server's "
-                f"admission cap ({self.max_iterations})")
-        route = request.get("route", "auto")
-        if route not in ("auto", "native", "interp"):
-            raise _usage(f"route must be auto|native|interp, got {route!r}")
+    def _run(self, body: bytes) -> dict:
+        with obs_trace.span("serve.parse"):
+            request = _parse_body(body)
+            parsed = self._parse_common(request)
+            iterations = request.get("iterations", 10)
+            if not isinstance(iterations, int) or iterations <= 0:
+                raise _usage(f"iterations must be a positive integer, "
+                             f"got {iterations!r}")
+            if iterations > self.max_iterations:
+                raise ApiError(
+                    429, "resource-exhausted", 3,
+                    f"iterations ({iterations}) exceeds the server's "
+                    f"admission cap ({self.max_iterations})")
+            route = request.get("route", "auto")
+            if route not in ("auto", "native", "interp"):
+                raise _usage(
+                    f"route must be auto|native|interp, got {route!r}")
         started = time.monotonic()
         degraded = False
         with self.admission.admit(parsed["deadline"]), \
@@ -572,11 +579,13 @@ class ServeServer:
                     degrade.record_fallback("serve /run", str(error))
                     degraded = True
                 else:
-                    result = self._execute_native(entry, iterations,
-                                                  parsed)
+                    with obs_trace.span("serve.execute"):
+                        result = self._execute_native(entry, iterations,
+                                                      parsed)
             if route == "interp" or degraded:
-                result = self._execute_interp(stream, request, parsed,
-                                              iterations, started)
+                with obs_trace.span("serve.execute"):
+                    result = self._execute_interp(stream, request, parsed,
+                                                  iterations, started)
         result.update(stream=stream.name, iterations=iterations,
                       cache_hit=hit, key=key, degraded=degraded,
                       stream_cached=stream_cached,
@@ -586,7 +595,8 @@ class ServeServer:
         reqctx.note(backend=parsed["backend"], cache_hit=hit,
                     degraded=degraded, run_route=result["route"],
                     stream=stream.name)
-        self._ledger_note(stream, parsed, result)
+        with obs_trace.span("serve.ledger"):
+            self._ledger_note(stream, parsed, result)
         return result
 
     # -- shared request machinery ---------------------------------------------
@@ -735,25 +745,26 @@ class ServeServer:
 
     def _stream(self, parsed: dict) -> tuple[CompiledStream, bool]:
         """Frontend-compile the request's spec, memoized by source hash."""
-        if parsed["benchmark"] is not None:
-            memo_key = f"benchmark:{parsed['benchmark']}"
-        else:
-            memo_key = hashlib.sha256(
-                parsed["source"].encode("utf-8")).hexdigest()
-        with self._streams_lock:
-            stream = self._streams.get(memo_key)
-            if stream is not None:
-                self._streams.move_to_end(memo_key)
-                return stream, True
-        if parsed["benchmark"] is not None:
-            stream = load_benchmark(parsed["benchmark"])
-        else:
-            stream = compile_source(parsed["source"], "<serve>")
-        with self._streams_lock:
-            self._streams[memo_key] = stream
-            while len(self._streams) > STREAM_MEMO_SIZE:
-                self._streams.popitem(last=False)
-        return stream, False
+        with obs_trace.span("serve.stream"):
+            if parsed["benchmark"] is not None:
+                memo_key = f"benchmark:{parsed['benchmark']}"
+            else:
+                memo_key = hashlib.sha256(
+                    parsed["source"].encode("utf-8")).hexdigest()
+            with self._streams_lock:
+                stream = self._streams.get(memo_key)
+                if stream is not None:
+                    self._streams.move_to_end(memo_key)
+                    return stream, True
+            if parsed["benchmark"] is not None:
+                stream = load_benchmark(parsed["benchmark"])
+            else:
+                stream = compile_source(parsed["source"], "<serve>")
+            with self._streams_lock:
+                self._streams[memo_key] = stream
+                while len(self._streams) > STREAM_MEMO_SIZE:
+                    self._streams.popitem(last=False)
+            return stream, False
 
     def _ensure_entry(self, stream: CompiledStream, parsed: dict):
         """Cache lookup with single-flight build on miss.
@@ -761,43 +772,44 @@ class ServeServer:
         Exactly one request compiles a given key at a time; the others
         block on its completion and then read the published entry.
         """
-        key, components = native_key(stream, backend=parsed["backend"],
-                                     lowering=parsed["lowering"],
-                                     opt=parsed["opt"])
-        entry = self.cache.lookup(key)
-        if entry is not None:
-            return entry, True, key
-        self.breaker.check(key)
-        while True:
-            with self._flight_lock:
-                event = self._inflight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    break
-            obs_metrics.counter("serve.inflight.coalesced").inc()
-            reqctx.note(dedup=True)
-            obs_bus.emit_event("serve.dedup", key=key)
-            event.wait()
+        with obs_trace.span("serve.cache_lookup"):
+            key, components = native_key(stream, backend=parsed["backend"],
+                                         lowering=parsed["lowering"],
+                                         opt=parsed["opt"])
             entry = self.cache.lookup(key)
             if entry is not None:
                 return entry, True, key
-            # The builder failed; loop to elect a new one.
-        try:
+            self.breaker.check(key)
+            while True:
+                with self._flight_lock:
+                    event = self._inflight.get(key)
+                    if event is None:
+                        event = threading.Event()
+                        self._inflight[key] = event
+                        break
+                obs_metrics.counter("serve.inflight.coalesced").inc()
+                reqctx.note(dedup=True)
+                obs_bus.emit_event("serve.dedup", key=key)
+                event.wait()
+                entry = self.cache.lookup(key)
+                if entry is not None:
+                    return entry, True, key
+                # The builder failed; loop to elect a new one.
             try:
-                entry = build_native(stream, key, components,
-                                     backend=parsed["backend"],
-                                     lowering=parsed["lowering"],
-                                     opt=parsed["opt"], cache=self.cache)
-            except Exception as error:
-                self.breaker.failure(key, str(error))
-                raise
-            self.breaker.success(key)
-            return entry, False, key
-        finally:
-            with self._flight_lock:
-                self._inflight.pop(key, None)
-            event.set()
+                try:
+                    entry = build_native(stream, key, components,
+                                         backend=parsed["backend"],
+                                         lowering=parsed["lowering"],
+                                         opt=parsed["opt"], cache=self.cache)
+                except Exception as error:
+                    self.breaker.failure(key, str(error))
+                    raise
+                self.breaker.success(key)
+                return entry, False, key
+            finally:
+                with self._flight_lock:
+                    self._inflight.pop(key, None)
+                event.set()
 
     def _ledger_note(self, stream: CompiledStream, parsed: dict,
                      result: dict) -> None:

@@ -76,6 +76,24 @@ class PoolExhausted(WorkerError):
     """The job failed on a fresh worker even after the retry."""
 
 
+def pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` still exists.
+
+    An exited child of this process is reaped first: until then it is a
+    zombie, which still passes the ``os.kill(pid, 0)`` probe.
+    """
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == pid:
+            return False
+    except ChildProcessError:
+        pass  # not our child, or already reaped
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, PermissionError):
+        return False
+    return True
+
+
 def _kill_group(proc: subprocess.Popen) -> None:
     try:
         os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
@@ -345,14 +363,7 @@ class WorkerPool:
 
     def live_pids(self) -> list[int]:
         """Spawned worker pids whose process still exists (diagnostics)."""
-        alive = []
-        for pid in self.all_pids:
-            try:
-                os.kill(pid, 0)
-            except (ProcessLookupError, PermissionError):
-                continue
-            alive.append(pid)
-        return alive
+        return [pid for pid in self.all_pids if pid_alive(pid)]
 
     def close(self) -> None:
         with self._free:

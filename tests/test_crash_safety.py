@@ -630,3 +630,61 @@ class TestChaosHarness:
                       "success_rate", "orphan_workers", "leaked_dirs",
                       "ok"):
             assert field in summary
+
+    def test_foreign_temp_dirs_are_not_leaks(self):
+        # Another process building natively during the campaign leaves
+        # repro_native_* dirs in the system temp dir; the campaign diffs
+        # only its private TMPDIR, which its daemon and workers inherit.
+        import tempfile
+
+        from repro.serve import chaos
+
+        system_tmp = tempfile.gettempdir()
+        seen = []
+
+        def progress(_report):
+            seen.append((tempfile.gettempdir(), os.environ.get("TMPDIR")))
+            if len(seen) == 1:
+                seen.append(tempfile.mkdtemp(prefix="repro_native_",
+                                             dir=system_tmp))
+
+        report = chaos.run_campaign(seed=3, requests=25, clients=2,
+                                    kill_rate=0.0, route="interp",
+                                    iterations=4, workers=1, variants=1,
+                                    progress=progress)
+        foreign = seen[1]
+        try:
+            assert report.ok, report.to_dict()
+            assert report.leaked_dirs == []
+            private, env = seen[0]
+            assert private == env
+            assert Path(private).name == "tmp"
+            assert Path(private).parent.name.startswith("repro_chaos_")
+            assert not Path(private).exists()
+            assert tempfile.gettempdir() == system_tmp
+        finally:
+            os.rmdir(foreign)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to observe zombie state")
+class TestPidAlive:
+    def test_exited_child_is_reaped_not_alive(self):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        stat = Path(f"/proc/{proc.pid}/stat")
+        deadline = time.monotonic() + 30
+        while stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+            assert time.monotonic() < deadline, "child never exited"
+            time.sleep(0.01)
+        os.kill(proc.pid, 0)  # a zombie passes the plain probe
+        assert pool_mod.pid_alive(proc.pid) is False
+        assert not stat.exists()
+
+    def test_running_process_is_alive(self):
+        proc = subprocess.Popen([sys.executable, "-c",
+                                 "import time; time.sleep(30)"])
+        try:
+            assert pool_mod.pid_alive(proc.pid) is True
+        finally:
+            proc.kill()
+            proc.wait()

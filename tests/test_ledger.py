@@ -1,7 +1,12 @@
 """Tests for the persistent run ledger (repro.obs.ledger)."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -218,22 +223,24 @@ class TestConcurrentAppend:
     ``<seq>-<rid>.json`` — two threads scanning before either wrote
     both minted the same seq under *different* filenames, so both
     writes "succeeded" and the ledger held duplicate sequence numbers.
-    The fix claims ``<seq>.json`` with ``O_EXCL``; the loser re-scans.
+    The fix claims ``<seq>.json`` with ``O_EXCL``; the loser re-lists.
     """
 
     def test_racing_appends_get_unique_seqs(self, tmp_path, monkeypatch):
-        # Force the race deterministically: every thread agrees on the
-        # same starting seq before any of them claims a file.
+        # Force the race deterministically: every thread reserves its
+        # seq from a fresh hint table — as separate processes would —
+        # and all agree on the same starting seq before any claims a
+        # file.  Losers resync through the shared table, which is not
+        # barrier-wrapped.
         workers = 8
         barrier = threading.Barrier(workers)
-        original = ledger._next_seq
 
-        def synchronized_next_seq(directory):
-            seq = original(directory)
-            barrier.wait()
-            return seq
+        def racing_reserve(directory):
+            reserved = ledger._SeqHints().reserve(directory)
+            barrier.wait(timeout=30)
+            return reserved
 
-        monkeypatch.setattr(ledger, "_next_seq", synchronized_next_seq)
+        monkeypatch.setattr(ledger._HINTS, "reserve", racing_reserve)
         envelopes = []
         lock = threading.Lock()
 
@@ -247,10 +254,44 @@ class TestConcurrentAppend:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         seqs = sorted(envelope["seq"] for envelope in envelopes)
         assert seqs == list(range(1, workers + 1))
         assert len(ledger.load_records(tmp_path)) == workers
+
+    def test_threads_of_one_process_never_collide(self, tmp_path,
+                                                  monkeypatch):
+        # Seqs are reserved under a lock: no claim in one process ever
+        # loses, so no thread ever has to resync.
+        resyncs = []
+        original = ledger._HINTS.resync
+
+        def counting_resync(directory):
+            resyncs.append(directory)
+            return original(directory)
+
+        monkeypatch.setattr(ledger._HINTS, "resync", counting_resync)
+
+        def append_ten(n):
+            for i in range(10):
+                ledger.append(body(seconds=n + i / 10), tmp_path)
+
+        threads = [threading.Thread(target=append_ten, args=(n,))
+                   for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        seqs = [record["seq"] for record in ledger.load_records(tmp_path)]
+        assert seqs == list(range(1, 81))
+        assert resyncs == []
 
     def test_race_skips_seqs_owned_by_legacy_files(self, tmp_path):
         # A pre-fix ledger dir may hold 000001-<rid>.json; new appends
@@ -279,3 +320,111 @@ class TestConcurrentAppend:
         # TARGET~N references stay stable across loads.
         assert ledger.resolve("tiny~1", tmp_path)["record_id"][0] == "a"
         assert ledger.resolve("tiny", tmp_path)["record_id"][0] == "b"
+
+
+class TestAppendCost:
+    """``append`` lists the ledger directory once per process, not once
+    per record: its cost does not grow with the ledger."""
+
+    def _count_listings(self, monkeypatch, directory):
+        listings = []
+        real_scandir = os.scandir
+        real_iterdir = Path.iterdir
+
+        def scandir(path="."):
+            if Path(path) == directory:
+                listings.append(path)
+            return real_scandir(path)
+
+        def iterdir(self):
+            if self == directory:
+                listings.append(self)
+            return real_iterdir(self)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        monkeypatch.setattr(Path, "iterdir", iterdir)
+        return listings
+
+    def test_200_appends_list_the_directory_at_most_once(
+            self, tmp_path, monkeypatch):
+        directory = tmp_path / "ledger"
+        listings = self._count_listings(monkeypatch, directory)
+        for n in range(200):
+            envelope = ledger.append(body(seconds=float(n)), directory)
+            assert envelope["seq"] == n + 1
+        assert len(listings) <= 1
+
+    def test_existing_ledger_is_listed_once_then_continued(
+            self, tmp_path, monkeypatch):
+        for n in range(5):
+            (tmp_path / f"{n + 1:06d}.json").write_text(json.dumps(
+                {"record_id": "0" * 64, "seq": n + 1, "wall_time": 0.0,
+                 "body": body(seconds=float(n))}))
+        listings = self._count_listings(monkeypatch, tmp_path)
+        seqs = [ledger.append(body(seconds=9.0 + n), tmp_path)["seq"]
+                for n in range(3)]
+        assert seqs == [6, 7, 8]
+        assert len(listings) == 1
+
+    def test_recreated_directory_starts_over(self, tmp_path):
+        # A ledger deleted and recreated may reuse the inode number its
+        # hint is keyed by; the vanished anchor record gives it away.
+        directory = tmp_path / "ledger"
+        for n in range(3):
+            ledger.append(body(seconds=float(n)), directory)
+        shutil.rmtree(directory)
+        directory.mkdir()
+        assert ledger.append(body(), directory)["seq"] == 1
+
+    def test_relative_directory_survives_chdir(self, tmp_path,
+                                               monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        relative = Path("ledger")
+        monkeypatch.chdir(tmp_path / "a")
+        assert ledger.append(body(seconds=1.0), relative)["seq"] == 1
+        assert ledger.append(body(seconds=2.0), relative)["seq"] == 2
+        monkeypatch.chdir(tmp_path / "b")
+        assert ledger.append(body(seconds=3.0), relative)["seq"] == 1
+        monkeypatch.chdir(tmp_path / "a")
+        assert ledger.append(body(seconds=4.0), relative)["seq"] == 3
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+from repro.obs import ledger
+directory, name, go = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+while not go.exists():
+    time.sleep(0.001)
+for n in range(100):
+    ledger.append(ledger.make_body("run", name, seconds=float(n)),
+                  directory)
+"""
+
+
+class TestTwoProcesses:
+    def test_two_writers_get_unique_increasing_seqs(self, tmp_path):
+        directory = tmp_path / "ledger"
+        go = tmp_path / "go"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(ledger.__file__).parents[2])]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(
+                os.pathsep) if p])}
+        writers = [subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(directory), name, str(go)],
+            env=env) for name in ("p0", "p1")]
+        go.touch()
+        for writer in writers:
+            assert writer.wait(timeout=120) == 0
+        records = ledger.load_records(directory)
+        seqs = [record["seq"] for record in records]
+        assert len(seqs) == 200
+        assert len(set(seqs)) == 200
+        for name in ("p0", "p1"):
+            mine = [record for record in records
+                    if record["body"]["target"] == name]
+            # load_records sorts by seq; the writer's own order is the
+            # ``seconds`` it stamped, so seq order must match it.
+            assert [record["body"]["seconds"] for record in mine] \
+                == [float(n) for n in range(100)]

@@ -315,6 +315,22 @@ class TestObservability:
         assert all(span["attrs"]["trace_id"] == trace_id
                    for span in spans)
 
+    @requires_cc
+    def test_hot_run_trace_names_each_stage(self, client):
+        source = _program("HotStages")
+        assert client.run(source=source, iterations=4).ok
+        response = client.run(source=source, iterations=4)
+        assert response.ok, response.text
+        assert response.json["cache_hit"] is True
+        (root,) = client.debug_trace(response.request_id).json["spans"]
+        assert root["name"] == "serve.request"
+        children = root["children"]
+        assert [child["name"] for child in children] == [
+            "serve.parse", "serve.stream", "serve.cache_lookup",
+            "serve.execute", "serve.ledger"]
+        assert sum(child["duration_ns"] for child in children) \
+            <= root["duration_ns"]
+
     def test_invalid_traceparent_mints_fresh_ids(self, client):
         from repro.obs import reqctx
 
