@@ -47,7 +47,8 @@ Commands
     compilation dedup, per-request admission control (``--limits``,
     ``--max-iterations``), per-request trace contexts with W3C
     ``traceparent`` propagation, and a structured JSONL access log
-    (``--access-log``/``--no-access-log``).
+    (``--access-log``/``--no-access-log``).  Every execution runs in a
+    pool of ``--workers N`` (at least 1) process-isolated workers.
 ``tail [LOG] [--follow] [--route SUBSTR] [--min-ms MS]``
     Render the daemon's access log (or an ``--event-log`` JSONL file)
     as aligned per-request lines — request id, route, status, latency,
@@ -61,9 +62,11 @@ Commands
     and zero leaked worker processes or temp dirs.  Exit 1 when any
     invariant fails.
 ``metrics-serve [TARGET]``
-    Serve the metrics registry as Prometheus/OpenMetrics text on a
-    stdlib HTTP endpoint (``/metrics``, ``/healthz``); ``--self-check``
-    scrapes itself once and validates the exposition.
+    Deprecated: scrape ``serve``'s ``GET /metrics`` instead.  Runs the
+    optional TARGET once to populate the metrics registry, then starts
+    the serve daemon (no ledger, no access log) so its ``/metrics`` and
+    ``/healthz`` expose it; ``--self-check`` scrapes ``/metrics`` once
+    and validates the exposition.
 ``list``
     List the benchmark suite.
 
@@ -118,7 +121,7 @@ from repro.obs import export as obs_export
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.sinks import JsonlEventSink, MetricsServer, to_openmetrics
+from repro.obs.sinks import JsonlEventSink, to_openmetrics
 from repro.opt import OptOptions, parse_pipeline
 from repro.suite import BENCHMARKS, benchmark_names, load_benchmark
 
@@ -181,6 +184,26 @@ def _limits_spec(spec: str) -> ResourceLimits:
         return ResourceLimits.parse(spec)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _workers_count(text: str) -> int:
+    """argparse type for --workers: a worker-pool size of at least 1.
+
+    ``0`` used to run executions inside the daemon process; that mode is
+    gone, so ``0`` is deprecated and means one worker.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value == 0:
+        print("warning: --workers 0 is deprecated (executions always run "
+              "in the worker pool); using --workers 1", file=sys.stderr)
+        return 1
+    return value
 
 
 def _inject_spec(spec: str) -> FaultPlan:
@@ -701,9 +724,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if result.regression else 0
 
 
+_METRICS_SERVE_DEPRECATED = (
+    "`metrics-serve` is deprecated; `python -m repro serve` serves the "
+    "same exposition at GET /metrics")
+
+
 def cmd_metrics_serve(args: argparse.Namespace) -> int:
     from urllib.request import urlopen
 
+    from repro.serve import ServeServer
+
+    print(f"warning: {_METRICS_SERVE_DEPRECATED}", file=sys.stderr)
     obs_trace.enable()
     if args.target:
         stream = _load_target(args.target)
@@ -720,12 +751,13 @@ def cmd_metrics_serve(args: argparse.Namespace) -> int:
     if args.print_only:
         sys.stdout.write(to_openmetrics())
         return 0
-    server = MetricsServer(args.host, args.port).start()
-    print(f"serving OpenMetrics at {server.url} (and /healthz)",
-          file=sys.stderr)
+    server = ServeServer(host=args.host, port=args.port, ledger=False,
+                         access_log=None).start()
+    url = f"{server.url}/metrics"
+    print(f"serving OpenMetrics at {url} (and /healthz)", file=sys.stderr)
     try:
         if args.self_check:
-            with urlopen(server.url) as response:
+            with urlopen(url) as response:
                 body = response.read().decode("utf-8")
                 content_type = response.headers.get("Content-Type", "")
             sys.stdout.write(body)
@@ -1181,7 +1213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "metrics-serve",
-        help="serve the metrics registry as OpenMetrics text over HTTP")
+        help="deprecated: serve the metrics registry as OpenMetrics "
+             "text over HTTP; use `repro serve`'s GET /metrics",
+        description=_METRICS_SERVE_DEPRECATED)
     serve.add_argument("target", nargs="?",
                        help="optional .str file or benchmark to run "
                             "first, populating the registry")
@@ -1251,10 +1285,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve, round-trip one /run request "
                              "through the daemon, print its checksum, "
                              "exit")
-    daemon.add_argument("--workers", type=int, default=2, metavar="N",
+    daemon.add_argument("--workers", type=_workers_count, default=2,
+                        metavar="N",
                         help="process-isolated execution workers "
-                             "(default 2; 0 runs executions in the "
-                             "daemon process, pre-PR-10 behaviour)")
+                             "(default 2, minimum 1; 0 is deprecated "
+                             "and means 1)")
     daemon.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="on SIGTERM/SIGINT, wait up to SECONDS "
@@ -1288,8 +1323,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: run all --requests)")
     chaos.add_argument("--iterations", type=int, default=8, metavar="N",
                        help="iterations per /run request (default 8)")
-    chaos.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="daemon worker-pool size (default 2)")
+    chaos.add_argument("--workers", type=_workers_count, default=2,
+                       metavar="N",
+                       help="daemon worker-pool size (default 2, "
+                            "minimum 1; 0 is deprecated and means 1)")
     chaos.add_argument("--route", choices=("auto", "native", "interp"),
                        default="auto",
                        help="execution route requested (default auto)")

@@ -24,8 +24,8 @@ fuzz oracle treats it like any other structured compile diagnostic.
 
 from __future__ import annotations
 
+import contextvars
 import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -156,16 +156,23 @@ _UNLIMITED = ResourceLimits()
 # Ambient state: the installed limits (``use_limits``) win over the
 # REPRO_LIMITS environment variable; the parsed env spec is memoized on
 # its string value so hot paths can call ``active_limits`` freely.
-# Installed limits and the wall-clock deadline are *thread-local*, so
-# the serve daemon can apply per-request admission limits from handler
-# threads without requests bleeding budgets into each other.
-_tls = threading.local()
+# Installed limits and the wall-clock deadline live in contextvars, the
+# same scoping as the per-request telemetry in :mod:`repro.obs.reqctx`:
+# a new thread starts without them (the serve daemon's handler threads
+# apply per-request admission limits without requests bleeding budgets
+# into each other), and a thread started under
+# ``contextvars.copy_context().run`` carries them along.
+_INSTALLED: contextvars.ContextVar[ResourceLimits | None] = \
+    contextvars.ContextVar("repro_limits", default=None)
+# (deadline, budget_seconds) of the outermost active compile budget.
+_DEADLINE: contextvars.ContextVar[tuple[float, float] | None] = \
+    contextvars.ContextVar("repro_compile_deadline", default=None)
 _env_cache: tuple[str | None, ResourceLimits] = (None, _UNLIMITED)
 
 
 def active_limits() -> ResourceLimits:
     """The limits in effect: installed > ``REPRO_LIMITS`` env > unlimited."""
-    installed = getattr(_tls, "installed", None)
+    installed = _INSTALLED.get()
     if installed is not None:
         return installed
     spec = os.environ.get("REPRO_LIMITS")
@@ -180,20 +187,17 @@ def active_limits() -> ResourceLimits:
 def use_limits(limits: ResourceLimits) -> Iterator[ResourceLimits]:
     """Install ``limits`` as the ambient configuration for a scope.
 
-    The installation is thread-local: limits installed in one thread are
-    invisible to every other (each serve request carries its own)."""
-    previous = getattr(_tls, "installed", None)
-    _tls.installed = limits
+    The installation is context-local: limits installed in one thread
+    are invisible to every other thread that does not run in a copy of
+    this context (each serve request carries its own)."""
+    token = _INSTALLED.set(limits)
     try:
         yield limits
     finally:
-        _tls.installed = previous
+        _INSTALLED.reset(token)
 
 
 # -- wall-clock budget --------------------------------------------------------
-
-# (deadline, budget_seconds) of the innermost active compile budget;
-# one slot per thread, like the installed limits.
 
 @contextmanager
 def compile_budget() -> Iterator[None]:
@@ -203,18 +207,18 @@ def compile_budget() -> Iterator[None]:
     whole ``compile_source`` or ``CompiledStream.lower`` invocation that
     opened it); without a ``compile_seconds`` limit this is free.
     """
-    if getattr(_tls, "deadline", None) is not None:
+    if _DEADLINE.get() is not None:
         yield
         return
     budget = active_limits().compile_seconds
     if budget is None:
         yield
         return
-    _tls.deadline = (time.monotonic() + budget, budget)
+    token = _DEADLINE.set((time.monotonic() + budget, budget))
     try:
         yield
     finally:
-        _tls.deadline = None
+        _DEADLINE.reset(token)
 
 
 def check_deadline(where: str) -> None:
@@ -223,7 +227,7 @@ def check_deadline(where: str) -> None:
     Called at loop boundaries of every potentially unbounded stage
     (schedule fixpoints, per-firing lowering, optimizer rounds).
     """
-    state = getattr(_tls, "deadline", None)
+    state = _DEADLINE.get()
     if state is None:
         return
     deadline, budget = state

@@ -241,7 +241,15 @@ class ProgramIndex:
             return value
 
         for op in affected:
-            op.map_operands(swap)
+            if isinstance(op, LoopRegion):
+                # A region is indexed as a user of its carry lists only
+                # (body ops are users in their own right), and a carry
+                # next may name a body result, which the region's own
+                # map_operands treats as internal and would skip.
+                op.carry_inits = [swap(v) for v in op.carry_inits]
+                op.carry_nexts = [swap(v) for v in op.carry_nexts]
+            else:
+                op.map_operands(swap)
         if isinstance(new, Temp) and affected:
             bucket = self._uses.setdefault(new.id, {})
             for op in affected:

@@ -10,9 +10,9 @@ The pieces work together:
 * :mod:`repro.obs.bus` — the telemetry bus: structured point-in-time
   :class:`~repro.obs.bus.Event` records plus the
   :class:`~repro.obs.bus.TelemetrySink` fan-out seam;
-* :mod:`repro.obs.sinks` — concrete sinks: JSONL event log, Chrome
-  trace, OpenMetrics text exposition and its ``http.server`` endpoint
-  (``python -m repro metrics-serve``);
+* :mod:`repro.obs.sinks` — the JSONL event-log sink, the serve
+  daemon's access log and the OpenMetrics text exposition it serves at
+  ``GET /metrics``;
 * :mod:`repro.obs.export` — text-tree, JSON and Chrome trace-event
   renderings of a collected span forest;
 * :mod:`repro.obs.ledger` — the persistent content-addressed run ledger
@@ -39,22 +39,20 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                registry)
 from repro.obs.reqctx import (RequestContext, make_traceparent,
                               parse_traceparent)
-from repro.obs.sinks import (ChromeTraceSink, JsonlAccessLog, JsonlEventSink,
-                             MetricsServer, OpenMetricsSink, span_tree,
+from repro.obs.sinks import (JsonlAccessLog, JsonlEventSink, span_tree,
                              to_openmetrics)
 from repro.obs.trace import (Span, Tracer, current_span, disable, enable,
                              get_trace, get_tracer, is_enabled, span,
                              traced, tracing)
 
 __all__ = [
-    "ChromeTraceSink", "Counter", "Event", "Gauge", "Histogram",
-    "JsonlAccessLog", "JsonlEventSink", "MetricsRegistry", "MetricsServer",
-    "OpenMetricsSink", "RequestContext", "Span", "TelemetryBus",
-    "TelemetrySink", "Tracer", "bus", "counter", "current_span", "disable",
-    "emit_event", "enable", "export", "format_tree", "gauge", "get_bus",
-    "get_trace", "get_tracer", "histogram", "is_enabled", "ledger",
-    "make_traceparent", "metrics", "parse_traceparent", "publish_counters",
-    "registry", "reqctx", "sinks", "span", "span_tree", "to_chrome_trace",
-    "to_json", "to_openmetrics", "trace", "traced", "tracing",
-    "write_chrome_trace",
+    "Counter", "Event", "Gauge", "Histogram", "JsonlAccessLog",
+    "JsonlEventSink", "MetricsRegistry", "RequestContext", "Span",
+    "TelemetryBus", "TelemetrySink", "Tracer", "bus", "counter",
+    "current_span", "disable", "emit_event", "enable", "export",
+    "format_tree", "gauge", "get_bus", "get_trace", "get_tracer",
+    "histogram", "is_enabled", "ledger", "make_traceparent", "metrics",
+    "parse_traceparent", "publish_counters", "registry", "reqctx", "sinks",
+    "span", "span_tree", "to_chrome_trace", "to_json", "to_openmetrics",
+    "trace", "traced", "tracing", "write_chrome_trace",
 ]

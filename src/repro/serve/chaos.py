@@ -313,8 +313,7 @@ def _storm(report: ChaosReport, root: Path, *, seed: int, requests: int,
     except OSError:
         report.daemon_alive_after = False
 
-    pool = server._worker_pool() if workers > 0 else None
-    worker_pids = list(pool.all_pids) if pool is not None else []
+    worker_pids = list(server._worker_pool().all_pids)
     server.stop()
     deadline = time.monotonic() + 2.0
     while any(pid_alive(pid) for pid in worker_pids) \

@@ -44,7 +44,7 @@ concurrently.
 
 Admission control: the server's default :class:`ResourceLimits` (from
 ``--limits``/``REPRO_LIMITS``) merged with the request's own ``limits``
-spec is installed thread-locally around every compile, and a request
+spec is installed (context-locally) around every compile, and a request
 asking for more than ``max_iterations`` is rejected outright.  The PR 5
 exit-code taxonomy maps onto the error model::
 
@@ -60,9 +60,11 @@ See ``docs/SERVING.md`` for the full API reference.
 from __future__ import annotations
 
 import collections
+import errno
 import hashlib
 import json
 import os
+import socket
 import socketserver
 import threading
 import time
@@ -71,7 +73,6 @@ from pathlib import Path
 
 from repro.api import CompiledStream, compile_source
 from repro.backend import runner
-from repro.backend.common import checksum_outputs
 from repro.cache import (ArtifactCache, BACKENDS, build_native, native_key)
 from repro.faults import (ResourceExhausted, ResourceLimits, use_limits)
 from repro.frontend.errors import CompileError
@@ -167,10 +168,12 @@ class ServeServer:
             self.cache.scrub()
         except OSError:
             pass
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.limits = limits
         self.max_iterations = max_iterations
         self.ledger = ledger
-        self.workers = max(0, workers)
+        self.workers = workers
         self.job_timeout = job_timeout
         self._pool: WorkerPool | None = None
         self._pool_lock = threading.Lock()
@@ -193,21 +196,19 @@ class ServeServer:
         self._inflight: dict[str, threading.Event] = {}
         self._flight_lock = threading.Lock()
         self._thread: threading.Thread | None = None
+        self.socket_path: str | None = None
+        if socket_path is not None:
+            self.socket_path = str(socket_path)
+            _clear_stale_socket(self.socket_path)
+            self._server = _UnixServer(self.socket_path, _Handler)
+        else:
+            self._server = _TcpServer((host, port), _Handler)
+        self._server.owner = self
         # /metrics serves the metrics registry; instruments are gated on
         # tracing, so a serving process keeps it enabled.
         self._trace_was_enabled = obs_trace.is_enabled()
         if not self._trace_was_enabled:
             obs_trace.enable(reset=False)
-        self.socket_path: str | None = None
-        if socket_path is not None:
-            self.socket_path = str(socket_path)
-            path = Path(self.socket_path)
-            if path.exists():
-                path.unlink()
-            self._server = _UnixServer(self.socket_path, _Handler)
-        else:
-            self._server = _TcpServer((host, port), _Handler)
-        self._server.owner = self
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -294,12 +295,14 @@ class ServeServer:
     def draining(self) -> bool:
         return self._draining
 
-    def _worker_pool(self) -> WorkerPool | None:
-        """The lazily-started execution pool (None with ``workers=0``)."""
-        if self.workers <= 0:
-            return None
+    def _worker_pool(self) -> WorkerPool:
+        """The lazily-started execution pool; a 503 once stopped."""
         with self._pool_lock:
-            if self._pool is None and not self._stopped:
+            if self._stopped:
+                raise ApiError(503, "stopped", 4,
+                               "the server has stopped; no worker pool "
+                               "is left to run the request")
+            if self._pool is None:
                 self._pool = WorkerPool(self.workers,
                                         job_timeout=self.job_timeout)
             return self._pool
@@ -584,8 +587,8 @@ class ServeServer:
                                                       parsed)
             if route == "interp" or degraded:
                 with obs_trace.span("serve.execute"):
-                    result = self._execute_interp(stream, request, parsed,
-                                                  iterations, started)
+                    result = self._execute_interp(request, parsed,
+                                                  iterations)
         result.update(stream=stream.name, iterations=iterations,
                       cache_hit=hit, key=key, degraded=degraded,
                       stream_cached=stream_cached,
@@ -660,46 +663,28 @@ class ServeServer:
         return effective
 
     def _admission(self, parsed: dict):
-        """Thread-local per-request resource limits, if any apply."""
+        """The request's resource limits, scoped to its context."""
         return use_limits(self._effective_limits(parsed))
 
     # -- pool-backed execution ------------------------------------------------
 
     def _execute_native(self, entry, iterations: int,
                         parsed: dict) -> dict:
-        """Run a cached binary — in a pool worker when the pool is on."""
-        pool = self._worker_pool()
-        if pool is None:
-            run = runner.run_binary(entry.binary, iterations)
-            return {"checksum": f"{run.checksum:016x}",
-                    "outputs": run.output_count,
-                    "seconds": run.seconds, "route": "native"}
-        reply = self._pool_call(pool, {
+        """Run a cached binary in a pool worker."""
+        return self._pool_call({
             "kind": "native", "binary": str(entry.binary),
             "iterations": iterations,
             "limits": self._effective_limits(parsed).spec()})
-        return {"checksum": reply["checksum"],
-                "outputs": reply["outputs"],
-                "seconds": reply["seconds"], "route": "native"}
 
-    def _execute_interp(self, stream: CompiledStream, request: dict,
-                        parsed: dict, iterations: int,
-                        started: float) -> dict:
-        """Run the interpreter — in a pool worker when the pool is on.
+    def _execute_interp(self, request: dict, parsed: dict,
+                        iterations: int) -> dict:
+        """Run the interpreter in a pool worker.
 
-        ``stream`` is already frontend-compiled in the daemon (request
+        The daemon has already frontend-compiled the spec (request
         validation must not depend on a worker round-trip); the worker
         re-derives it from the raw spec fields, memoized per worker.
         """
-        pool = self._worker_pool()
-        if pool is None:
-            outputs = stream.run_laminar(
-                iterations, parsed["lowering"], parsed["opt"]).outputs
-            return {"checksum": f"{checksum_outputs(outputs):016x}",
-                    "outputs": len(outputs),
-                    "seconds": time.monotonic() - started,
-                    "route": "interp"}
-        reply = self._pool_call(pool, {
+        return self._pool_call({
             "kind": "interp", "iterations": iterations,
             "source": request.get("source"),
             "benchmark": request.get("benchmark"),
@@ -709,20 +694,21 @@ class ServeServer:
             "reroll": request.get("reroll"),
             "reroll_min_repeat": request.get("reroll_min_repeat"),
             "limits": self._effective_limits(parsed).spec()})
-        return {"checksum": reply["checksum"],
-                "outputs": reply["outputs"],
-                "seconds": reply["seconds"], "route": "interp"}
 
-    def _pool_call(self, pool: WorkerPool, job: dict) -> dict:
-        """Submit one job; job-level errors become the daemon's own
-        exception taxonomy so status mapping and auto-route degradation
-        behave exactly as they do for in-process execution.
+    def _pool_call(self, job: dict) -> dict:
+        """Submit one job and return its ``/run`` result fields.
+
+        Job-level errors become the daemon's own exception taxonomy, so
+        status mapping and auto-route degradation see the same
+        exceptions the compile path raises.
         (:class:`~repro.serve.pool.PoolExhausted` — the worker itself
         died twice — propagates and maps to a 503.)
         """
-        reply = pool.submit(job)
+        reply = self._worker_pool().submit(job)
         if reply.get("ok"):
-            return reply
+            return {"checksum": reply["checksum"],
+                    "outputs": reply["outputs"],
+                    "seconds": reply["seconds"], "route": job["kind"]}
         kind = reply.get("kind")
         message = str(reply.get("error") or "worker error")
         if kind == "resource-exhausted":
@@ -839,6 +825,28 @@ class ServeServer:
                            record_id=envelope["record_id"],
                            seq=envelope["seq"], kind="serve",
                            target=stream.name)
+
+
+def _clear_stale_socket(path: str) -> None:
+    """Unlink a dead socket file at ``path``; refuse a live one.
+
+    A socket file outlives a crashed daemon, so binding must remove it —
+    but only when nothing accepts on it any more, or a second daemon
+    would steal a live daemon's clients and orphan its listener.
+    """
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.connect(path)
+    except FileNotFoundError:
+        return
+    except ConnectionRefusedError:
+        os.unlink(path)
+        return
+    finally:
+        probe.close()
+    raise OSError(errno.EADDRINUSE,
+                  "a live server is already listening on this socket",
+                  path)
 
 
 def _ledger_reachable(path: Path) -> bool:

@@ -473,6 +473,35 @@ class TestMetricsServe:
         assert "repro_obs_up 1" in proc.stdout
         assert proc.stdout.rstrip().endswith("# EOF")
 
+    def test_deprecation_notice(self, tiny_file):
+        proc = self.cli("metrics-serve", tiny_file, "-n", "2",
+                        "--print-only")
+        assert proc.returncode == 0
+        assert "deprecated" in proc.stderr
+        assert "GET /metrics" in proc.stderr
+        helped = self.cli("metrics-serve", "--help")
+        assert helped.returncode == 0
+        assert "deprecated" in helped.stdout
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", ["serve", "chaos"])
+    def test_zero_is_deprecated_and_means_one(self, command, capsys):
+        args = repro.cli.build_parser().parse_args(
+            [command, "--workers", "0"])
+        assert args.workers == 1
+        notice = capsys.readouterr().err.strip().splitlines()
+        assert len(notice) == 1
+        assert "--workers 0 is deprecated" in notice[0]
+
+    @pytest.mark.parametrize("command", ["serve", "chaos"])
+    def test_negative_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro.cli.build_parser().parse_args(
+                [command, "--workers", "-1"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestTail:
     @staticmethod

@@ -568,7 +568,7 @@ class TestClientRetry:
     def test_connection_refused_is_retried_once(self, tmp_path):
         server = ServeServer(socket_path=tmp_path / "d.sock",
                              cache=ArtifactCache(tmp_path / "cache"),
-                             workers=0, ledger=False).start()
+                             ledger=False).start()
         try:
             client = ServeClient(socket_path=server.socket_path)
             real = client._connection

@@ -101,6 +101,27 @@ class TestResourceLimits:
         assert active_limits().max_steady_tokens_per_channel == 99
 
 
+    def test_limits_follow_the_context_not_the_thread(self, monkeypatch):
+        import contextvars
+        import threading
+
+        monkeypatch.delenv("REPRO_LIMITS", raising=False)
+        seen = {}
+
+        def probe(name):
+            seen[name] = active_limits().max_unrolled_ops
+
+        with use_limits(ResourceLimits(max_unrolled_ops=7)):
+            plain = threading.Thread(target=probe, args=("plain",))
+            copied = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(probe, "copied"))
+            for thread in (plain, copied):
+                thread.start()
+                thread.join()
+        probe("after")
+        assert seen == {"plain": None, "copied": 7, "after": None}
+
+
 # -- guardrail enforcement ---------------------------------------------------
 
 class TestGuardrails:

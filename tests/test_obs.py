@@ -2,7 +2,6 @@
 
 import json
 import threading
-import urllib.request
 
 import pytest
 
@@ -492,16 +491,6 @@ class TestJsonlEventSink:
                  for line in path.read_text().splitlines()]
         assert names == ["round0", "round1"]
 
-    def test_chrome_trace_sink(self, tmp_path):
-        trace.enable()
-        with trace.span("traced"):
-            pass
-        sink = sinks.ChromeTraceSink(tmp_path / "trace.json")
-        sink.on_metrics({"m": 1})
-        sink.close()
-        parsed = json.loads((tmp_path / "trace.json").read_text())
-        assert any(e["name"] == "traced" for e in parsed["traceEvents"])
-
 
 class TestOpenMetrics:
     def filled_registry(self):
@@ -535,39 +524,6 @@ class TestOpenMetrics:
     def test_empty_registry_is_still_valid(self):
         text = sinks.to_openmetrics(metrics.MetricsRegistry())
         assert text == "# EOF\n"
-
-    def test_sink_writes_at_flush(self, tmp_path):
-        trace.enable()
-        metrics.registry().reset()
-        metrics.counter("hits").inc()
-        sink = sinks.OpenMetricsSink(tmp_path / "metrics.prom")
-        sink.flush()
-        text = (tmp_path / "metrics.prom").read_text()
-        assert "repro_hits_total 1" in text
-        assert text.endswith("# EOF\n")
-
-    def test_metrics_server_scrape(self):
-        trace.enable()
-        metrics.registry().reset()
-        metrics.gauge("obs.up").set(1)
-        server = sinks.serve_metrics(port=0)
-        try:
-            assert server.port != 0
-            with urllib.request.urlopen(server.url, timeout=5) as resp:
-                assert resp.status == 200
-                assert resp.headers["Content-Type"] == \
-                    sinks.OPENMETRICS_CONTENT_TYPE
-                body = resp.read().decode("utf-8")
-            assert "repro_obs_up 1" in body
-            assert body.endswith("# EOF\n")
-            health = server.url.replace("/metrics", "/healthz")
-            with urllib.request.urlopen(health, timeout=5) as resp:
-                assert resp.read() == b"ok\n"
-            missing = server.url.replace("/metrics", "/nope")
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(missing, timeout=5)
-        finally:
-            server.stop()
 
 
 class TestLabeledMetrics:

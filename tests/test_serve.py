@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import socket
 import threading
 
 import pytest
@@ -85,6 +87,57 @@ class TestPlumbing:
         finally:
             instance.stop()
 
+
+class TestLifecycle:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_pool_needs_a_worker(self, tmp_path, workers):
+        with pytest.raises(ValueError):
+            ServeServer(socket_path=tmp_path / "w.sock",
+                        cache=ArtifactCache(tmp_path / "cache"),
+                        workers=workers)
+        assert not (tmp_path / "w.sock").exists()
+
+    def test_run_after_stop_is_503(self, tmp_path):
+        instance = ServeServer(socket_path=tmp_path / "s.sock",
+                               cache=ArtifactCache(tmp_path / "cache"),
+                               ledger=False).start()
+        instance.stop()
+        body = json.dumps({"source": _program("Late"), "iterations": 4,
+                           "route": "interp"}).encode("utf-8")
+        status, _type, payload, _headers = instance.handle(
+            "POST", "/run", body)
+        assert status == 503
+        assert json.loads(payload)["kind"] == "stopped"
+
+    def test_live_socket_is_not_hijacked(self, tmp_path):
+        path = tmp_path / "shared.sock"
+        first = ServeServer(socket_path=path,
+                            cache=ArtifactCache(tmp_path / "first"),
+                            ledger=False).start()
+        try:
+            with pytest.raises(OSError) as excinfo:
+                ServeServer(socket_path=path,
+                            cache=ArtifactCache(tmp_path / "second"),
+                            ledger=False)
+            assert excinfo.value.errno == errno.EADDRINUSE
+            health = ServeClient(socket_path=path).healthz()
+            assert health.ok
+            assert health.json["cache_root"] == str(tmp_path / "first")
+        finally:
+            first.stop()
+
+    def test_stale_socket_file_is_replaced(self, tmp_path):
+        path = tmp_path / "stale.sock"
+        dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        dead.bind(str(path))
+        dead.close()  # the file stays behind; nothing listens on it
+        instance = ServeServer(socket_path=path,
+                               cache=ArtifactCache(tmp_path / "cache"),
+                               ledger=False).start()
+        try:
+            assert ServeClient(socket_path=path).wait_ready()
+        finally:
+            instance.stop()
 
 class TestValidation:
     def test_body_must_be_json(self, client):
