@@ -15,7 +15,10 @@ The optimize column is compared against two committed baselines under
   "vs seed" speedup column (the analysis-driven rewrite's headline);
 * ``compile_cost_baseline.json`` — the current pipeline, for CI's
   regression gate: ``--check NAME [NAME...]`` re-measures just those
-  benchmarks and fails if any optimize time exceeds 2x its baseline.
+  benchmarks and fails if any optimize time (``<name>@<scale>``) or
+  lowering time (``lower:<name>@<scale>``: symbolic execution plus
+  optimize, what ``CompiledStream.lower`` takes) exceeds 2x its
+  baseline.
 
 Every full run also writes ``results/compile_cost.json`` with the raw
 measurements.
@@ -161,9 +164,10 @@ def check(names: list[str]) -> int:
     """CI smoke: re-measure ``names`` and gate on the committed baseline.
 
     Measures every swept scale of each benchmark (lower+optimize only)
-    and fails when any optimize time exceeds ``CHECK_TOLERANCE`` times
-    the committed value — i.e. when the analysis-driven pass manager
-    stops paying for itself.
+    and fails when any optimize or lowering time exceeds
+    ``CHECK_TOLERANCE`` times the committed value — i.e. when the
+    analysis-driven pass manager or the staged symbolic executor stops
+    paying for itself.
     """
     baseline = _load_baseline(_CURRENT_BASELINE)
     failures = []
@@ -176,15 +180,24 @@ def check(names: list[str]) -> int:
                       f"regenerate {_CURRENT_BASELINE.name}",
                       file=sys.stderr)
                 return 2
+            expected_lower = baseline.get(f"lower:{key}")
+            if expected_lower is None:
+                print(f"compile-cost check: no baseline for lower:{key}; "
+                      f"regenerate {_CURRENT_BASELINE.name}",
+                      file=sys.stderr)
+                return 2
             result = measure(name, scale, full=False)
-            actual = result["optimize_s"]
-            status = "ok"
-            if actual > expected * CHECK_TOLERANCE:
-                status = "FAIL"
-                failures.append(key)
-            print(f"{key}: optimize {actual * 1000:.0f} ms "
-                  f"(baseline {expected * 1000:.0f} ms, "
-                  f"tolerance {CHECK_TOLERANCE:.0f}x) {status}")
+            for what, actual, limit, failed in (
+                    ("optimize", result["optimize_s"], expected, key),
+                    ("lowering", result["lowering_s"], expected_lower,
+                     f"lower:{key}")):
+                status = "ok"
+                if actual > limit * CHECK_TOLERANCE:
+                    status = "FAIL"
+                    failures.append(failed)
+                print(f"{key}: {what} {actual * 1000:.0f} ms "
+                      f"(baseline {limit * 1000:.0f} ms, "
+                      f"tolerance {CHECK_TOLERANCE:.0f}x) {status}")
             assert result["converged"], key
     bench, scale = _CODEGEN_SIZE_BENCH
     if bench in names:
@@ -209,7 +222,9 @@ def update_baseline() -> int:
         for scale in SCALES:
             result = measure(name, scale, full=False)
             data[f"{name}@{scale}"] = round(result["optimize_s"], 4)
-            print(f"{name}@{scale}: {result['optimize_s']:.4f}s")
+            data[f"lower:{name}@{scale}"] = round(result["lowering_s"], 4)
+            print(f"{name}@{scale}: optimize {result['optimize_s']:.4f}s, "
+                  f"lowering {result['lowering_s']:.4f}s")
     payload = {"_comment": comment, **data} if comment else data
     _CURRENT_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {_CURRENT_BASELINE}")
@@ -251,7 +266,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", nargs="+", metavar="NAME",
         help="CI smoke mode: measure just these benchmarks and fail on "
-             f"a >{CHECK_TOLERANCE:.0f}x optimize-time regression")
+             f"a >{CHECK_TOLERANCE:.0f}x optimize- or lowering-time "
+             "regression")
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="re-measure the sweep and rewrite "

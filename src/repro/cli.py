@@ -61,12 +61,6 @@ Commands
     responses, ≥ 99% eventual success, the daemon never restarting,
     and zero leaked worker processes or temp dirs.  Exit 1 when any
     invariant fails.
-``metrics-serve [TARGET]``
-    Deprecated: scrape ``serve``'s ``GET /metrics`` instead.  Runs the
-    optional TARGET once to populate the metrics registry, then starts
-    the serve daemon (no ledger, no access log) so its ``/metrics`` and
-    ``/healthz`` expose it; ``--self-check`` scrapes ``/metrics`` once
-    and validates the exposition.
 ``list``
     List the benchmark suite.
 
@@ -121,7 +115,7 @@ from repro.obs import export as obs_export
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.sinks import JsonlEventSink, to_openmetrics
+from repro.obs.sinks import JsonlEventSink
 from repro.opt import OptOptions, parse_pipeline
 from repro.suite import BENCHMARKS, benchmark_names, load_benchmark
 
@@ -187,22 +181,14 @@ def _limits_spec(spec: str) -> ResourceLimits:
 
 
 def _workers_count(text: str) -> int:
-    """argparse type for --workers: a worker-pool size of at least 1.
-
-    ``0`` used to run executions inside the daemon process; that mode is
-    gone, so ``0`` is deprecated and means one worker.
-    """
+    """argparse type for --workers: a worker-pool size of at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 0:
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    if value == 0:
-        print("warning: --workers 0 is deprecated (executions always run "
-              "in the worker pool); using --workers 1", file=sys.stderr)
-        return 1
     return value
 
 
@@ -724,59 +710,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if result.regression else 0
 
 
-_METRICS_SERVE_DEPRECATED = (
-    "`metrics-serve` is deprecated; `python -m repro serve` serves the "
-    "same exposition at GET /metrics")
-
-
-def cmd_metrics_serve(args: argparse.Namespace) -> int:
-    from urllib.request import urlopen
-
-    from repro.serve import ServeServer
-
-    print(f"warning: {_METRICS_SERVE_DEPRECATED}", file=sys.stderr)
-    obs_trace.enable()
-    if args.target:
-        stream = _load_target(args.target)
-        if stream is None:
-            print(f"error: {args.target!r} is neither a .str file nor a "
-                  "suite benchmark; see `python -m repro list`",
-                  file=sys.stderr)
-            return 1
-        lowering, opt = _options(args)
-        check_equivalence(stream, iterations=args.iterations,
-                          lowering=lowering, opt=opt)
-    # At least one family must exist even with no target warm-up.
-    obs_metrics.registry().gauge("obs.up").set(1)
-    if args.print_only:
-        sys.stdout.write(to_openmetrics())
-        return 0
-    server = ServeServer(host=args.host, port=args.port, ledger=False,
-                         access_log=None).start()
-    url = f"{server.url}/metrics"
-    print(f"serving OpenMetrics at {url} (and /healthz)", file=sys.stderr)
-    try:
-        if args.self_check:
-            with urlopen(url) as response:
-                body = response.read().decode("utf-8")
-                content_type = response.headers.get("Content-Type", "")
-            sys.stdout.write(body)
-            if "repro_" not in body \
-                    or not body.rstrip().endswith("# EOF"):
-                print("error: exposition lacks a repro_ family or the "
-                      "# EOF terminator", file=sys.stderr)
-                return 1
-            print(f"# self-check ok: {len(body)} bytes, content-type "
-                  f"{content_type}", file=sys.stderr)
-            return 0
-        while True:  # pragma: no cover - interactive serve loop
-            time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        return 0
-    finally:
-        server.stop()
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import ArtifactCache
 
@@ -1211,27 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the comparison as JSON")
     compare.set_defaults(func=cmd_compare)
 
-    serve = sub.add_parser(
-        "metrics-serve",
-        help="deprecated: serve the metrics registry as OpenMetrics "
-             "text over HTTP; use `repro serve`'s GET /metrics",
-        description=_METRICS_SERVE_DEPRECATED)
-    serve.add_argument("target", nargs="?",
-                       help="optional .str file or benchmark to run "
-                            "first, populating the registry")
-    serve.add_argument("-n", "--iterations", type=int, default=4)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9464,
-                       help="port to bind (default 9464; 0 = ephemeral)")
-    serve.add_argument("--self-check", action="store_true",
-                       help="serve, scrape /metrics once over HTTP, "
-                            "print the exposition, validate it, exit")
-    serve.add_argument("--print-only", action="store_true",
-                       help="print the OpenMetrics exposition to stdout "
-                            "without binding a socket")
-    _add_opt_arguments(serve)
-    serve.set_defaults(func=cmd_metrics_serve)
-
     cache = sub.add_parser(
         "cache",
         help="manage the persistent native-artifact cache")
@@ -1288,8 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--workers", type=_workers_count, default=2,
                         metavar="N",
                         help="process-isolated execution workers "
-                             "(default 2, minimum 1; 0 is deprecated "
-                             "and means 1)")
+                             "(default 2, minimum 1)")
     daemon.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="on SIGTERM/SIGINT, wait up to SECONDS "
@@ -1326,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=_workers_count, default=2,
                        metavar="N",
                        help="daemon worker-pool size (default 2, "
-                            "minimum 1; 0 is deprecated and means 1)")
+                            "minimum 1)")
     chaos.add_argument("--route", choices=("auto", "native", "interp"),
                        default="auto",
                        help="execution route requested (default auto)")

@@ -23,6 +23,11 @@ class ScalarType(Type):
     def __str__(self) -> str:
         return self.name
 
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled values are the shared instance, so code may
+        # compare scalar types by identity.
+        return scalar, (self.name,)
+
 
 @dataclass(frozen=True)
 class ArrayType(Type):

@@ -8,6 +8,9 @@ and checks that channel types line up.  The result is a tree of
 
 from __future__ import annotations
 
+import operator
+from typing import Any, Callable
+
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import ElaborationError, SourceLocation
 from repro.frontend.intrinsics import INTRINSICS
@@ -104,6 +107,33 @@ class ConstEvaluator:
         return apply_binary(op, left, right, expr.loc, self.source)
 
 
+def _c_div(left: object, right: object) -> object:
+    if isinstance(left, int) and isinstance(right, int) \
+            and not isinstance(left, bool) and not isinstance(right, bool):
+        quotient = abs(left) // abs(right)
+        return quotient if (left >= 0) == (right >= 0) else -quotient
+    return left / right  # type: ignore[operator]
+
+
+def _c_mod(left: object, right: object) -> object:
+    remainder = abs(left) % abs(right)  # type: ignore[arg-type]
+    return remainder if left >= 0 else -remainder  # type: ignore[operator]
+
+
+# Every binary operator as a function of two Python values, with C
+# semantics: int division and remainder truncate toward zero.  Results
+# are not wrapped to 32 bits; callers do that.  Division by zero raises
+# ZeroDivisionError and a negative shift count ValueError.
+BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": _c_mod,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "<<": operator.lshift, ">>": operator.rshift,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def apply_binary(op: str, left: object, right: object,
                  loc: SourceLocation, source: str) -> object:
     """Evaluate one binary operator with StreamIt/C semantics.
@@ -112,48 +142,17 @@ def apply_binary(op: str, left: object, right: object,
     stages agree on arithmetic (notably: int division truncates toward
     zero, as in C, not Python floor division).
     """
+    fn = BINARY_OPS.get(op)
+    if fn is None:
+        raise AssertionError(f"unknown operator {op}")
     try:
-        if op == "+":
-            return left + right  # type: ignore[operator]
-        if op == "-":
-            return left - right  # type: ignore[operator]
-        if op == "*":
-            return left * right  # type: ignore[operator]
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int) \
-                    and not isinstance(left, bool) \
-                    and not isinstance(right, bool):
-                quotient = abs(left) // abs(right)
-                return quotient if (left >= 0) == (right >= 0) else -quotient
-            return left / right  # type: ignore[operator]
-        if op == "%":
-            remainder = abs(left) % abs(right)  # type: ignore[arg-type]
-            return remainder if left >= 0 else -remainder  # type: ignore
-        if op == "&":
-            return left & right  # type: ignore[operator]
-        if op == "|":
-            return left | right  # type: ignore[operator]
-        if op == "^":
-            return left ^ right  # type: ignore[operator]
-        if op == "<<":
-            return left << right  # type: ignore[operator]
-        if op == ">>":
-            return left >> right  # type: ignore[operator]
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right  # type: ignore[operator]
-        if op == "<=":
-            return left <= right  # type: ignore[operator]
-        if op == ">":
-            return left > right  # type: ignore[operator]
-        if op == ">=":
-            return left >= right  # type: ignore[operator]
+        return fn(left, right)
     except ZeroDivisionError:
         raise ElaborationError("division by zero", loc, source) from None
-    raise AssertionError(f"unknown operator {op}")
+    except ValueError:
+        raise ElaborationError(
+            f"negative shift count in {op!r} (shift counts must be in "
+            "[0, 31])", loc, source) from None
 
 
 class Elaborator:

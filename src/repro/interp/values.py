@@ -9,64 +9,23 @@ from __future__ import annotations
 
 from repro.frontend.errors import InterpError
 from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
+from repro.graph.builder import BINARY_OPS
 from repro.lir.ops import wrap_i32
-
-_INT_OPS = ("%", "&", "|", "^", "<<", ">>")
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 def runtime_binary(op: str, left: object, right: object) -> object:
     """Apply one binary operator with C-like semantics."""
+    fn = BINARY_OPS.get(op)
+    if fn is None:
+        raise AssertionError(f"unknown operator {op}")
     try:
-        if op == "+":
-            result = left + right  # type: ignore[operator]
-        elif op == "-":
-            result = left - right  # type: ignore[operator]
-        elif op == "*":
-            result = left * right  # type: ignore[operator]
-        elif op == "/":
-            if isinstance(left, int) and isinstance(right, int) \
-                    and not isinstance(left, bool) \
-                    and not isinstance(right, bool):
-                quotient = abs(left) // abs(right)
-                result = quotient if (left >= 0) == (right >= 0) \
-                    else -quotient
-            else:
-                result = left / right  # type: ignore[operator]
-        elif op == "%":
-            magnitude = abs(left) % abs(right)  # type: ignore[arg-type]
-            result = magnitude if left >= 0 else -magnitude  # type: ignore
-        elif op == "&":
-            result = left & right  # type: ignore[operator]
-        elif op == "|":
-            result = left | right  # type: ignore[operator]
-        elif op == "^":
-            result = left ^ right  # type: ignore[operator]
-        elif op == "<<":
-            # Shift counts must be in [0, 31] (larger is UB in C; the
-            # compile-time evaluator uses the same plain-shift semantics).
-            result = left << right  # type: ignore[operator]
-        elif op == ">>":
-            result = left >> right  # type: ignore[operator]
-        elif op == "==":
-            return left == right
-        elif op == "!=":
-            return left != right
-        elif op == "<":
-            return left < right  # type: ignore[operator]
-        elif op == "<=":
-            return left <= right  # type: ignore[operator]
-        elif op == ">":
-            return left > right  # type: ignore[operator]
-        elif op == ">=":
-            return left >= right  # type: ignore[operator]
-        else:
-            raise AssertionError(f"unknown operator {op}")
+        result = fn(left, right)
     except ZeroDivisionError:
         raise InterpError(f"division by zero in {op!r}") from None
-    if isinstance(result, bool):
-        return result
-    if isinstance(result, int):
+    except ValueError:
+        raise InterpError(f"negative shift count in {op!r} (shift counts "
+                          "must be in [0, 31])") from None
+    if isinstance(result, int) and not isinstance(result, bool):
         return wrap_i32(result)
     return result
 

@@ -141,6 +141,8 @@ class Lowerer:
         self.program = Program(name=self.graph.name)
         self.queues: dict[str, deque[Value]] = {}
         self.executors: dict[FilterVertex, BodyExecutor] = {}
+        # Staged filter bodies, shared by the instances of a declaration.
+        self.staged: dict = {}
         # True while lowering the steady section: per-vertex token and
         # firing counts only accumulate there (the attribution tables and
         # interpreters report steady-state numbers).
@@ -205,6 +207,7 @@ class Lowerer:
         for name, ty in node.field_types.items():
             fields[name] = self._make_field(f"{prefix}_{name}", ty)
         executor = BodyExecutor(self.emitter, node, fields, self.source,
+                                self.staged,
                                 unroll_limit=self.options.unroll_limit)
         self.executors[vertex] = executor
         executor.run_field_initializers()

@@ -23,32 +23,80 @@ from repro.frontend.types import BOOLEAN, FLOAT, INT, ScalarType
 _temp_ids = itertools.count()
 
 
-@dataclass(frozen=True)
 class Value:
-    """An SSA operand: either a :class:`Const` or a :class:`Temp`."""
+    """An SSA operand: either a :class:`Const` or a :class:`Temp`.
 
-    ty: ScalarType
+    Values are immutable by convention.  They are plain ``__slots__``
+    classes rather than frozen dataclasses because the lowering builds
+    hundreds of thousands of them per compile; equality, hashing and
+    ``repr`` follow the dataclass rules (same class, field tuples equal).
+    """
+
+    __slots__ = ("ty",)
+
+    def __init__(self, ty: ScalarType):
+        self.ty = ty
+
+    def _key(self) -> tuple:
+        return (self.ty,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(ty={self.ty!r})"
 
 
-@dataclass(frozen=True)
 class Const(Value):
-    value: object = 0
+    """A compile-time-known operand.
+
+    Identity is observable: the lowering merges if-converted values with
+    ``then is otherwise`` tests, so every evaluation of a literal builds a
+    fresh ``Const`` and no cache may hand out shared ones.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, ty: ScalarType, value: object = 0):
+        self.ty = ty
+        self.value = value
+
+    def _key(self) -> tuple:
+        return (self.ty, self.value)
+
+    def __repr__(self) -> str:
+        return f"Const(ty={self.ty!r}, value={self.value!r})"
 
     def __str__(self) -> str:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Temp(Value):
     """A named SSA value (a token or an intermediate result).
 
-    ``id`` is globally unique, so dataclass equality coincides with
-    identity — two distinct temps never compare equal even when they share
-    a type and hint.
+    ``id`` is globally unique, so equality coincides with identity — two
+    distinct temps never compare equal even when they share a type and
+    hint.
     """
 
-    hint: str = "t"
-    id: int = field(default_factory=lambda: next(_temp_ids))
+    __slots__ = ("hint", "id")
+
+    def __init__(self, ty: ScalarType, hint: str = "t",
+                 id: int | None = None):
+        self.ty = ty
+        self.hint = hint
+        self.id = next(_temp_ids) if id is None else id
+
+    def _key(self) -> tuple:
+        return (self.ty, self.hint, self.id)
+
+    def __repr__(self) -> str:
+        return f"Temp(ty={self.ty!r}, hint={self.hint!r}, id={self.id!r})"
 
     def __str__(self) -> str:
         return f"%{self.hint}{self.id}"
@@ -127,7 +175,7 @@ class Provenance:
 # -- operations -----------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Op:
     """Base class.  ``result`` is None for pure side-effect ops.
 
@@ -157,7 +205,7 @@ class Op:
         return not self.has_side_effect
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BinOp(Op):
     """Arithmetic/comparison/bitwise op.
 
@@ -182,7 +230,7 @@ class BinOp(Op):
         return f"{self.result} = {self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class UnOp(Op):
     op: str = ""  # "-", "!", "~"
     operand: Value = None  # type: ignore[assignment]
@@ -197,7 +245,7 @@ class UnOp(Op):
         return f"{self.result} = {self.op}{self.operand}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CastOp(Op):
     operand: Value = None  # type: ignore[assignment]
 
@@ -212,7 +260,7 @@ class CastOp(Op):
         return f"{self.result} = cast<{self.result.ty}>({self.operand})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SelectOp(Op):
     """If-converted conditional: ``result = cond ? then : otherwise``."""
 
@@ -235,7 +283,7 @@ class SelectOp(Op):
                 f"{self.otherwise}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CallOp(Op):
     """Intrinsic call; impure intrinsics (the RNG) are ordered effects."""
 
@@ -258,7 +306,7 @@ class CallOp(Op):
         return f"{self.result} = {self.name}({args})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LoadOp(Op):
     """Read a state slot (``index`` is None for scalar slots)."""
 
@@ -278,7 +326,7 @@ class LoadOp(Op):
         return f"{self.result} = load {self.slot.name}{idx}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class StoreOp(Op):
     slot: StateSlot = None  # type: ignore[assignment]
     index: Value | None = None
@@ -303,7 +351,7 @@ class StoreOp(Op):
         return f"store {self.slot.name}{idx}, {self.value}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MoveOp(Op):
     """A register-to-register copy.
 
@@ -326,7 +374,7 @@ class MoveOp(Op):
         return f"{self.result} = move {self.src}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LoopRegion(Op):
     """A counted loop over a re-rolled run of identical firings.
 
@@ -423,7 +471,7 @@ class LoopRegion(Op):
                 f"{{ {len(self.body)} ops }}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PrintOp(Op):
     value: Value = None  # type: ignore[assignment]
     newline: bool = True

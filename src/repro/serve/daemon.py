@@ -234,6 +234,9 @@ class ServeServer:
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         name="repro-serve", daemon=True)
         self._thread.start()
+        # Scrapers read `repro_obs_up 1` from /metrics as "the daemon is
+        # up"; it also keeps the exposition non-empty before any request.
+        obs_metrics.registry().gauge("obs.up").set(1)
         obs_bus.emit_event("serve.start", url=self.url,
                            cache_root=str(self.cache.root))
         return self

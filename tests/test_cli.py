@@ -333,6 +333,21 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("work", ["push(pop() << -1);",
+                                      "pop(); push(3 >> -2);"])
+    def test_negative_shift_count_is_one(self, tmp_path, work):
+        path = tmp_path / "shift.str"
+        path.write_text(
+            "void->int filter S() { int x; work push 1 { x = x + 1; "
+            "push(x); } }\n"
+            f"int->int filter F() {{ work pop 1 push 1 {{ {work} }} }}\n"
+            "int->void filter P() { work pop 1 { println(pop()); } }\n"
+            "void->void pipeline Top { add S(); add F(); add P(); }\n")
+        proc = self.cli("run", str(path), "-n", "2")
+        assert proc.returncode == 1
+        assert "negative shift count" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_is_two(self):
         proc = self.cli("run")  # missing the file operand
         assert proc.returncode == 2
@@ -456,43 +471,19 @@ class TestLedgerExitCodes:
         assert "past the ledger" in proc.stderr
 
 
-class TestMetricsServe:
-    cli = TestExitCodes.cli
-
-    def test_print_only_emits_valid_exposition(self, tiny_file):
-        proc = self.cli("metrics-serve", tiny_file, "-n", "2",
-                        "--print-only")
-        assert proc.returncode == 0
-        assert proc.stdout.rstrip().endswith("# EOF")
-        assert "repro_" in proc.stdout
-
-    def test_self_check_scrapes_itself(self, tiny_file):
-        proc = self.cli("metrics-serve", tiny_file, "-n", "2",
-                        "--port", "0", "--self-check")
-        assert proc.returncode == 0
-        assert "repro_obs_up 1" in proc.stdout
-        assert proc.stdout.rstrip().endswith("# EOF")
-
-    def test_deprecation_notice(self, tiny_file):
-        proc = self.cli("metrics-serve", tiny_file, "-n", "2",
-                        "--print-only")
-        assert proc.returncode == 0
-        assert "deprecated" in proc.stderr
-        assert "GET /metrics" in proc.stderr
-        helped = self.cli("metrics-serve", "--help")
-        assert helped.returncode == 0
-        assert "deprecated" in helped.stdout
-
-
 class TestWorkersFlag:
     @pytest.mark.parametrize("command", ["serve", "chaos"])
-    def test_zero_is_deprecated_and_means_one(self, command, capsys):
-        args = repro.cli.build_parser().parse_args(
-            [command, "--workers", "0"])
-        assert args.workers == 1
-        notice = capsys.readouterr().err.strip().splitlines()
-        assert len(notice) == 1
-        assert "--workers 0 is deprecated" in notice[0]
+    def test_zero_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro.cli.build_parser().parse_args(
+                [command, "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_metrics_serve_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro.cli.build_parser().parse_args(["metrics-serve"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("command", ["serve", "chaos"])
     def test_negative_is_a_usage_error(self, command, capsys):

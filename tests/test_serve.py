@@ -71,6 +71,7 @@ class TestPlumbing:
         text = client.metrics()
         assert text.rstrip().endswith("# EOF")
         assert "repro_serve_requests_total" in text
+        assert "\nrepro_obs_up 1\n" in text  # set when the daemon starts
 
     def test_cache_stats_endpoint(self, client, server):
         stats = client.cache_stats()

@@ -418,3 +418,65 @@ class TestFieldCaching:
             "void->void pipeline P { add Src(); add F(); add Snk(); }")
         assert stream.run_fifo(10).outputs == \
             stream.run_laminar(10).outputs
+
+
+class TestShortCircuit:
+    """The operand of a data-dependent ``&&``/``||``/``?:`` runs only on
+    some paths, so it is evaluated speculatively like an if-converted
+    branch: an effect there is rejected, never performed on every path."""
+
+    SOURCE = (
+        "void->int filter S() {{ int x; work push 1 {{ x = x + 1; "
+        "int y = {expr}; push(y); }} }}"
+        "void->void pipeline P {{ add S(); add ISnk(); }}")
+
+    @pytest.mark.parametrize("expr", [
+        "(x % 2 == 0) ? randi(10) : 0",
+        "(x % 2 == 0) ? 0 : randi(10)",
+        "(x % 2 == 0 && randi(10) > 4) ? 1 : 0",
+        "(x % 2 == 0 || randi(10) > 4) ? 1 : 0",
+    ])
+    def test_effect_in_conditional_operand_rejected(self, expr):
+        stream = compile_source(PREAMBLE + self.SOURCE.format(expr=expr))
+        with pytest.raises(LoweringError,
+                           match="randi under a data-dependent condition "
+                                 "cannot be lowered") as info:
+            lower(stream.schedule, stream.source)
+        assert info.value.loc.line == 6  # the line of the expression
+
+    def test_oracle_reports_the_rejection_not_an_output_mismatch(self):
+        from repro.fuzz.oracle import run_source
+
+        report = run_source(PREAMBLE + self.SOURCE.format(
+            expr="(x % 2 == 0) ? randi(10) : 0"))
+        assert report.divergence is not None
+        assert report.divergence.kind == "route-error"
+        assert "randi under a data-dependent condition" \
+            in report.divergence.detail
+
+    @pytest.mark.parametrize("expr", [
+        "(x % 2 == 0) ? x * 3 : x - 1",
+        "(x % 3 == 0 && x % 2 == 0) ? 7 : 8",
+        "(x % 3 == 0 || x % 2 == 0) ? 7 : 8",
+    ])
+    def test_pure_operands_still_lower(self, expr):
+        stream = compile_source(PREAMBLE + self.SOURCE.format(expr=expr))
+        assert stream.run_fifo(12).outputs == stream.run_laminar(12).outputs
+
+    @pytest.mark.parametrize("expr", [
+        "(x % 2 == 0 && bump() > 0) ? 1 : 0",
+        "(x % 2 == 0 || bump() > 0) ? 1 : 0",
+        "(x % 3 == 0) ? bump() : 0",
+        "(x % 3 == 0) ? 0 : bump()",
+    ])
+    def test_field_write_in_skipped_operand_is_predicated(self, expr):
+        # bump() writes a field: it may only count on the paths where the
+        # operand runs
+        stream = compile_source(
+            PREAMBLE +
+            "void->int filter S() { int x; int calls; "
+            "int bump() { calls = calls + 1; return calls; } "
+            f"work push 1 {{ x = x + 1; int y = {expr}; "
+            "push(y * 100 + calls); } }"
+            "void->void pipeline P { add S(); add ISnk(); }")
+        assert stream.run_fifo(12).outputs == stream.run_laminar(12).outputs
