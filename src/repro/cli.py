@@ -72,9 +72,11 @@ and the stall watchdog (see ``docs/OBSERVABILITY.md``).
 
 ``run`` and ``report`` also accept ``--trace`` to print the span tree
 to stderr after the normal output.  ``run``, ``emit``, ``report`` and
-``profile`` accept ``--opt-pipeline cp,promote,fold,cse,dce`` (an
-explicit pass ordering) and ``--opt-max-rounds N`` (the fixpoint round
-cap); see ``docs/OPTIMIZER.md``.
+``profile`` accept ``--opt-pipeline promote,fold,cse,dce`` (an
+explicit pass ordering; an empty one runs no pass) and
+``--opt-max-rounds N`` (the fixpoint round cap); see
+``docs/OPTIMIZER.md``.  Run-ledger records name the pipeline that ran:
+``default``, ``none`` or the pass names.
 
 Robustness flags (see ``docs/ROBUSTNESS.md``): every compiling command
 accepts ``--limits ops=200000,tokens=4096,solver=200,seconds=30``
@@ -155,7 +157,7 @@ def _add_opt_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--opt-pipeline", type=_pipeline_spec, metavar="PASSES",
         help="comma-separated pass ordering, e.g. "
-             "'cp,promote,fold,cse,dce' (overrides the default pipeline)")
+             "'promote,fold,cse,dce' (overrides the default pipeline)")
     parser.add_argument(
         "--opt-max-rounds", type=int, metavar="N",
         help="cap the optimizer's fixpoint rounds (default 64)")
@@ -225,15 +227,6 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
              "metrics snapshot) to PATH as JSONL")
 
 
-def _pipeline_name(args: argparse.Namespace) -> str | None:
-    pipeline = getattr(args, "opt_pipeline", None)
-    if pipeline:
-        return ",".join(pipeline)
-    if getattr(args, "no_opt", False):
-        return "none"
-    return "default"
-
-
 def _ledger_note(kind: str, target: str, args: argparse.Namespace, *,
                  spec_hash: str | None = None, backend: str | None = None,
                  checksum: int | None = None, seconds: float | None = None,
@@ -245,7 +238,7 @@ def _ledger_note(kind: str, target: str, args: argparse.Namespace, *,
             flags[key] = True
     body = obs_ledger.make_body(
         kind, target, spec_hash=spec_hash, backend=backend,
-        pipeline=_pipeline_name(args),
+        pipeline=_options(args)[1].pipeline_label(),
         iterations=getattr(args, "iterations", None), flags=flags,
         checksum=f"{checksum:016x}" if checksum is not None else None,
         seconds=seconds, metrics=metrics)

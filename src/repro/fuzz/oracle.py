@@ -5,7 +5,9 @@ Routes (in order):
 1. **fifo-interp** — the FIFO baseline interpreter (the reference).
 2. **laminar-interp** — LaminarIR lowering, optimizer off.
 3. **laminar-opt** — LaminarIR lowering, full optimizer.
-4. **fifo-c** / **laminar-c** — both native backends, compiled and run
+4. **laminar-noelim** — splitter/joiner elimination off (explicit
+   routing moves), full optimizer.
+5. **fifo-c** / **laminar-c** — both native backends, compiled and run
    when a C compiler is on PATH (``native=True``).
 
 Outputs are compared token-by-token and bit-exactly (floats by their
@@ -160,6 +162,10 @@ def _run_routes(stream, iterations: int, native: bool, span,
             ("laminar-opt",
              lambda: stream.run_laminar(iterations, LoweringOptions(),
                                         OptOptions())),
+            ("laminar-noelim",
+             lambda: stream.run_laminar(
+                 iterations, LoweringOptions(eliminate_splitjoin=False),
+                 OptOptions())),
         )
         laminar_opt = None
         for name, runner in routes:

@@ -280,7 +280,7 @@ class Lowerer:
         if self.options.eliminate_splitjoin:
             return token
         result = Temp(token.ty, hint="route")
-        self.emitter.emit(MoveOp(result=result, src=token, routing=True))
+        self.emitter.emit(MoveOp(result=result, src=token))
         return result
 
     def _fire_splitter(self, vertex: SplitterVertex) -> None:

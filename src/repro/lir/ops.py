@@ -355,14 +355,13 @@ class StoreOp(Op):
 class MoveOp(Op):
     """A register-to-register copy.
 
-    ``routing=True`` marks the copies emitted by the splitter/joiner
-    *non*-elimination mode (the E7 ablation): they model data movement the
-    baseline is obliged to perform, so copy propagation must not remove
-    them.  Plain moves (``routing=False``) are propagated away.
+    Only the splitter/joiner *non*-elimination mode (the E7 ablation)
+    emits moves: they model data movement the baseline is obliged to
+    perform, so no pass forwards them.  With elimination on, lowering
+    renames tokens at compile time and the IR holds no moves at all.
     """
 
     src: Value = None  # type: ignore[assignment]
-    routing: bool = False
 
     def operands(self) -> Iterator[Value]:
         yield self.src

@@ -162,6 +162,10 @@ class _Verifier:
         elif isinstance(op, CastOp):
             if op.result is None:
                 _fail(f"{where}: cast without result")
+            if op.operand.ty == op.result.ty:
+                # Lowering coerces only across types, so a same-type cast
+                # would be a copy, and no pass forwards copies.
+                _fail(f"{where}: cast to its own type {op.result.ty}")
 
 
 def verify(program: Program) -> Program:

@@ -12,7 +12,7 @@ benchmark driver, via ``benchmarks/common.py``) appends one record under
       "body": {
         "kind": "report", "target": "filterbank",
         "spec_hash": "...", "backend": "laminar-c",
-        "pipeline": "cp,promote,fold,cse,dce", "iterations": 4,
+        "pipeline": "default", "iterations": 4,
         "flags": {...}, "checksum": "0123abcd...",
         "seconds": 0.8431, "metrics": {...}
       }

@@ -4,8 +4,7 @@ from repro.opt.carries import (eliminate_dead_carries,
                                specialize_constant_carries)
 from repro.opt.passes import (FixpointState,
                               common_subexpression_elimination,
-                              constant_folding, copy_propagation,
-                              dead_code_elimination)
+                              constant_folding, dead_code_elimination)
 from repro.opt.pipeline import (OptOptions, OptStats, PassManager, PassStat,
                                 optimize, parse_pipeline)
 from repro.opt.promote import PromoteOptions, promote_state
@@ -15,7 +14,7 @@ from repro.opt.schedule_ops import schedule_for_pressure
 __all__ = [
     "FixpointState", "OptOptions", "OptStats", "PassManager", "PassStat",
     "PromoteOptions", "common_subexpression_elimination",
-    "constant_folding", "copy_propagation", "dead_code_elimination",
+    "constant_folding", "dead_code_elimination",
     "eliminate_dead_carries", "optimize", "parse_pipeline",
     "promote_state", "reroll_steady", "schedule_for_pressure",
     "specialize_constant_carries",

@@ -1,11 +1,13 @@
 """Scalar optimization passes over LaminarIR.
 
 These model the "enabling effect" the paper reports: once FIFO indirection
-is gone, classic scalar optimizations (constant propagation, copy
-propagation, CSE, dead-code elimination) see through the dataflow.  In the
-paper LLVM performs them on the generated C; here we also run them on the
-IR itself so the effect is *measurable* in op counts and drives the
-platform cost models.
+is gone, classic scalar optimizations (constant propagation, CSE,
+dead-code elimination) see through the dataflow.  In the paper LLVM
+performs them on the generated C; here we also run them on the IR itself
+so the effect is *measurable* in op counts and drives the platform cost
+models.  There is no copy propagation: lowering forwards token names at
+compile time, so the IR holds no copies to forward (the routing moves of
+the ``eliminate_splitjoin`` ablation must stay; see ``MoveOp``).
 
 The passes consume a shared :class:`repro.lir.analysis.ProgramIndex` and
 communicate through :class:`FixpointState`: rewriting an op's operands
@@ -15,7 +17,7 @@ After the initial full sweeps, each fixpoint round therefore only
 touches ops something actually changed — the sparse-worklist scheme that
 replaces the old rescan-everything rounds.
 
-The public one-argument functions (``copy_propagation(program)`` etc.)
+The public one-argument functions (``constant_folding(program)`` etc.)
 keep their original standalone contract: build a private index, run the
 single pass, sweep, return the change count.
 """
@@ -28,7 +30,7 @@ from repro.frontend.intrinsics import INTRINSICS
 from repro.frontend.types import BOOLEAN, FLOAT, INT
 from repro.lir.analysis import EraseEffects, OpWorklist, ProgramIndex
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
-                           MoveOp, Op, SelectOp, StoreOp, Temp, UnOp, Value,
+                           Op, SelectOp, StoreOp, Temp, UnOp, Value,
                            const_bool, const_float, const_int)
 from repro.lir.program import Program
 
@@ -90,89 +92,6 @@ class FixpointState:
             self.cse_full = True
         if effects.dead_carry_params:
             self.carry_dirty = True
-
-
-# -- copy propagation ---------------------------------------------------------
-
-
-def _apply_subst(program: Program, subst: dict[Temp, Value]) -> None:
-    """Rewrite every operand through ``subst`` (chased to a fixpoint)."""
-    if not subst:
-        return
-
-    def resolve(value: Value) -> Value:
-        seen = 0
-        while isinstance(value, Temp) and value in subst:
-            value = subst[value]
-            seen += 1
-            assert seen < 1_000_000, "substitution cycle"
-        return value
-
-    for _title, ops in program.sections():
-        for op in ops:
-            op.map_operands(resolve)
-    program.carry_inits = [resolve(v) for v in program.carry_inits]
-    program.carry_nexts = [resolve(v) for v in program.carry_nexts]
-
-
-def _copy_source(op: Op) -> Value | None:
-    if isinstance(op, MoveOp) and op.result is not None and not op.routing:
-        return op.src
-    if isinstance(op, CastOp) and op.result is not None \
-            and op.operand.ty == op.result.ty:
-        return op.operand
-    return None
-
-
-def propagate_copies(state: FixpointState) -> int:
-    """Forward ``move`` results (and no-op casts) to their sources.
-
-    A single forward scan: each rewrite is eager, so move chains resolve
-    within one call (by the time ``c = move b`` is visited, ``b`` has
-    already been replaced by ``a``).
-    """
-    index = state.index
-    removed = 0
-    for op in list(index.live_ops()):
-        source = _copy_source(op)
-        if source is None:
-            continue
-        assert op.result is not None
-        affected, carries = index.replace_all_uses(op.result, source)
-        state.note_rewritten(affected, carries)
-        state.note_erased(index.erase(op))
-        removed += 1
-    return removed
-
-
-def propagate_copies_dense(program: Program) -> int:
-    """Index-free copy propagation: one sweep plus a substitution pass.
-
-    The pass manager uses this form when no def-use index exists yet
-    (copy propagation sits at the head of the default pipeline, right
-    before ``promote_state`` invalidates any index) — building a
-    program-wide index only to throw it away would dominate the pass.
-    """
-    subst: dict[Temp, Value] = {}
-    removed = 0
-    for _title, ops in program.sections():
-        kept: list[Op] = []
-        for op in ops:
-            source = _copy_source(op)
-            if source is None:
-                kept.append(op)
-                continue
-            assert op.result is not None
-            subst[op.result] = source
-            removed += 1
-        ops[:] = kept
-    _apply_subst(program, subst)
-    return removed
-
-
-def copy_propagation(program: Program) -> int:
-    """Standalone entry point: forward copies and drop the moves."""
-    return propagate_copies_dense(program)
 
 
 # -- constant folding ---------------------------------------------------------

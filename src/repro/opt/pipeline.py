@@ -3,8 +3,8 @@
 ``optimize`` builds a :class:`PassManager` and runs the configured
 pipeline.  The default order matches the classic sequence::
 
-    copy-prop → promote (mem2reg/SROA) → re-roll (counted loop regions)
-    → {const-fold, carries, CSE, DCE}* → pressure scheduling
+    DCE pre-prune → promote (mem2reg/SROA) → re-roll (counted loop
+    regions) → {const-fold, carries, CSE, DCE}* → pressure scheduling
 
 but the bracketed fixpoint group no longer rescans the whole program
 each round: the passes share a :class:`repro.lir.analysis.ProgramIndex`
@@ -36,8 +36,7 @@ from repro.obs import trace
 from repro.opt.carries import remove_dead_carries, specialize_carries
 from repro.opt.passes import (FixpointState, eliminate_common_subexpressions,
                               eliminate_dead_code, eliminate_dead_code_dense,
-                              fold_constants, propagate_copies,
-                              propagate_copies_dense)
+                              fold_constants)
 from repro.opt.promote import PromoteOptions, promote_state
 from repro.opt.reroll import reroll_steady
 from repro.opt.schedule_ops import schedule_for_pressure
@@ -46,8 +45,6 @@ _FIXPOINT_ROUNDS = 64
 
 # Canonical pass names plus the short aliases --opt-pipeline accepts.
 _PASS_ALIASES = {
-    "cp": "copy_propagation",
-    "copy_propagation": "copy_propagation",
     "promote": "promote_state",
     "promote_state": "promote_state",
     "reroll": "reroll_steady",
@@ -64,6 +61,10 @@ _PASS_ALIASES = {
     "schedule_for_pressure": "schedule_for_pressure",
 }
 
+# Spellings of the removed copy-propagation pass.  They are still
+# accepted, and dropped with a FutureWarning, for one more release.
+_REMOVED_PASSES = frozenset(("cp", "copy_propagation"))
+
 # Steps that may participate in a fixpoint group: contiguous runs of
 # these in the pipeline iterate together until quiescent.
 _FIXPOINT_STEPS = frozenset((
@@ -73,7 +74,6 @@ _FIXPOINT_STEPS = frozenset((
 # Which OptStats aggregate each pass feeds (kept for backward compat
 # with the seed pipeline's reporting).
 _AGGREGATE_FIELD = {
-    "copy_propagation": "moves_propagated",
     "promote_state": "slots_promoted",
     "reroll_steady": "regions_rerolled",
     "constant_folding": "ops_folded",
@@ -85,15 +85,22 @@ _AGGREGATE_FIELD = {
 
 
 def parse_pipeline(spec: str) -> tuple[str, ...]:
-    """Parse a ``--opt-pipeline`` spec like ``cp,promote,fold,cse,dce``.
+    """Parse a ``--opt-pipeline`` spec like ``promote,fold,cse,dce``.
 
     Returns canonical pass names; raises ``ValueError`` on an unknown
-    pass so the CLI can reject it up front.
+    pass so the CLI can reject it up front.  The removed copy-propagation
+    pass (``cp``, ``copy_propagation``) is dropped with a FutureWarning.
     """
     names = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
+            continue
+        if token in _REMOVED_PASSES:
+            warnings.warn(
+                f"optimizer pass {token!r} was removed (lowering leaves no "
+                "copies to propagate) and is ignored; the spelling will be "
+                "rejected in the next release", FutureWarning, stacklevel=2)
             continue
         canonical = _PASS_ALIASES.get(token)
         if canonical is None:
@@ -106,7 +113,6 @@ def parse_pipeline(spec: str) -> tuple[str, ...]:
 
 @dataclass
 class OptOptions:
-    copy_propagation: bool = True
     promote_state: bool = True
     # Re-roll repeated firing runs in the unrolled steady section into
     # counted LoopRegions (see repro.opt.reroll); ``reroll_min_repeat``
@@ -150,8 +156,7 @@ class OptOptions:
 
     @classmethod
     def none(cls) -> "OptOptions":
-        return cls(copy_propagation=False, promote_state=False,
-                   reroll=False, constant_folding=False,
+        return cls(promote_state=False, reroll=False, constant_folding=False,
                    carry_specialization=False, cse=False, dce=False,
                    schedule_pressure=False)
 
@@ -165,8 +170,6 @@ class OptOptions:
                 resolved.append(canonical)
             return tuple(resolved)
         steps = []
-        if self.copy_propagation:
-            steps.append("copy_propagation")
         if self.promote_state:
             steps.append("promote_state")
         if self.reroll:
@@ -183,6 +186,16 @@ class OptOptions:
             steps.append("schedule_for_pressure")
         return tuple(steps)
 
+    def pipeline_label(self) -> str:
+        """The pipeline's name in run records: ``none`` when no pass
+        runs, ``default`` for the default order, else the pass names."""
+        resolved = self.resolved_pipeline()
+        if not resolved:
+            return "none"
+        if resolved == OptOptions().resolved_pipeline():
+            return "default"
+        return ",".join(resolved)
+
 
 @dataclass
 class PassStat:
@@ -197,7 +210,6 @@ class PassStat:
 class OptStats:
     ops_before: dict[str, int] = field(default_factory=dict)
     ops_after: dict[str, int] = field(default_factory=dict)
-    moves_propagated: int = 0
     slots_promoted: int = 0
     regions_rerolled: int = 0
     ops_folded: int = 0
@@ -294,19 +306,6 @@ class PassManager:
 
     # -- steps ---------------------------------------------------------------
 
-    def _step_copy_propagation(self,
-                               round_index: int | None = None) -> int:
-        if self.state is None:
-            # No index yet (copy-prop heads the default pipeline, right
-            # before promotion invalidates any index): the dense sweep is
-            # much cheaper than building a program-wide index for it.
-            return self._run_pass(
-                "copy_propagation",
-                lambda: propagate_copies_dense(self.program))
-        state = self.state
-        return self._run_pass("copy_propagation",
-                              lambda: propagate_copies(state))
-
     def _step_promote_state(self, round_index: int | None = None) -> int:
         # Promotion walks the raw section lists and rewrites them, so it
         # needs a compacted program and invalidates the index after.
@@ -392,7 +391,6 @@ class PassManager:
         return 0
 
     _STEPS = {
-        "copy_propagation": _step_copy_propagation,
         "promote_state": _step_promote_state,
         "reroll_steady": _step_reroll,
         "constant_folding": _step_constant_folding,
@@ -412,17 +410,6 @@ class PassManager:
     def _run_fixpoint(self, steps: list[str]) -> None:
         """Iterate a group of worklist passes until a round is quiet."""
         converged = False
-        if "dead_code_elimination" in steps \
-                and steps[0] != "dead_code_elimination" \
-                and self._max_rounds() > 0:
-            # Prune transitively dead ops before the first full folding
-            # and CSE sweeps.  Unreferenced dataflow (decimators that pop
-            # tokens nobody reads) can dwarf the live program; keying and
-            # folding it first only to delete it at the end of round 0
-            # dominated optimize time on the large-scale benchmarks.
-            state = self._ensure_state()
-            if state.dce_all:
-                self._STEPS["dead_code_elimination"](self, None)
         for round_index in range(self._max_rounds()):
             faults_limits.check_deadline("optimizer fixpoint round")
             self.stats.fixpoint_rounds += 1

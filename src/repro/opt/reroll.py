@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 from repro.frontend.types import INT
 from repro.lir.ops import (BinOp, CallOp, CastOp, Const, LoadOp, LoopRegion,
-                           MoveOp, Op, PrintOp, Provenance, SelectOp,
+                           Op, PrintOp, Provenance, SelectOp,
                            StateSlot, StoreOp, Temp, Value, const_int,
                            wrap_i32)
 from repro.lir.program import Program
@@ -79,14 +79,12 @@ def _shape_key(op: Op) -> tuple:
         extra = (op.name, op.pure, len(op.args))
     elif isinstance(op, (LoadOp, StoreOp)):
         extra = (id(op.slot), op.index is None)
-    elif isinstance(op, MoveOp):
-        extra = op.routing
     elif isinstance(op, PrintOp):
         extra = op.newline
     elif isinstance(op, LoopRegion):
         extra = id(op)  # unique — never re-roll across a region
     else:
-        # UnOp carries its operator; CastOp/SelectOp are fully
+        # UnOp carries its operator; CastOp/SelectOp/MoveOp are fully
         # described by type + result ty.
         extra = getattr(op, "op", None)
     return (kind, extra, ty)

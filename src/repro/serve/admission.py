@@ -35,6 +35,7 @@ from typing import Iterator
 
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 
 __all__ = ["AdmissionQueue", "CircuitBreaker", "CircuitOpenError",
            "ShedRequest"]
@@ -118,11 +119,12 @@ class AdmissionQueue:
         ``deadline`` is the caller's patience in seconds (the request's
         ``deadline_ms`` field); :class:`ShedRequest` is raised when the
         queue is full, the estimated wait already exceeds the deadline,
-        or the deadline expires while queued.
+        or the deadline expires while queued.  The wait for a slot (not
+        the held body) is the request's ``serve.admission`` span.
         """
         patience = self.default_deadline if deadline is None else deadline
         started = time.monotonic()
-        with self._slot_free:
+        with obs_trace.span("serve.admission"), self._slot_free:
             if self._active >= self.capacity:
                 wait = self._estimated_wait()
                 if self._waiting >= self.queue_limit:

@@ -656,8 +656,7 @@ class ServeServer:
         return {"source": source, "benchmark": benchmark,
                 "backend": backend, "opt": opt, "lowering": lowering,
                 "limits": limits, "deadline": deadline,
-                "pipeline": ",".join(opt.pipeline) if opt.pipeline
-                else ("none" if request.get("no_opt") else "default")}
+                "pipeline": opt.pipeline_label()}
 
     def _effective_limits(self, parsed: dict) -> ResourceLimits:
         effective = self.limits or ResourceLimits()
@@ -693,7 +692,7 @@ class ServeServer:
             "benchmark": request.get("benchmark"),
             "no_opt": bool(request.get("no_opt")),
             "no_elim": bool(request.get("no_elim")),
-            "pipeline": request.get("pipeline"),
+            "pipeline": parsed["opt"].pipeline,
             "reroll": request.get("reroll"),
             "reroll_min_repeat": request.get("reroll_min_repeat"),
             "limits": self._effective_limits(parsed).spec()})

@@ -260,7 +260,7 @@ class TestNonConvergenceNotice:
 class TestOptPipelineFlags:
     def test_run_with_custom_pipeline(self, tiny_file, capsys):
         assert main(["run", tiny_file, "-n", "2", "--quiet",
-                     "--opt-pipeline", "cp,fold,dce"]) == 0
+                     "--opt-pipeline", "fold,dce"]) == 0
         assert "checksum" in capsys.readouterr().err
 
     def test_run_with_max_rounds(self, tiny_file, capsys):
@@ -270,14 +270,39 @@ class TestOptPipelineFlags:
 
     def test_unknown_pass_rejected_up_front(self, tiny_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", tiny_file, "--opt-pipeline", "cp,frobnicate"])
+            main(["run", tiny_file, "--opt-pipeline", "fold,frobnicate"])
         assert excinfo.value.code == 2
         assert "unknown optimizer pass" in capsys.readouterr().err
 
     def test_emit_respects_pipeline(self, tiny_file, capsys):
         assert main(["emit", tiny_file, "--form", "lir",
-                     "--opt-pipeline", "cp"]) == 0
+                     "--opt-pipeline", "fold"]) == 0
         assert "steady" in capsys.readouterr().out
+
+    @staticmethod
+    def _last_run_pipeline() -> str:
+        from repro.obs import ledger
+        (*_, record) = [record for record in ledger.load_records()
+                        if record["body"]["kind"] == "run"]
+        return record["body"]["pipeline"]
+
+    @pytest.mark.parametrize("flags, label", [
+        ([], "default"),
+        (["--no-opt"], "none"),
+        (["--opt-pipeline", ""], "none"),
+        (["--opt-pipeline", "fold,dce"],
+         "constant_folding,dead_code_elimination"),
+    ])
+    def test_ledger_names_the_pipeline_that_ran(self, tiny_file, flags,
+                                                label):
+        assert main(["run", tiny_file, "-n", "2", "--quiet", *flags]) == 0
+        assert self._last_run_pipeline() == label
+
+    def test_removed_copy_propagation_spelling_warns(self, tiny_file):
+        with pytest.warns(FutureWarning, match="'cp' was removed"):
+            assert main(["run", tiny_file, "-n", "2", "--quiet",
+                         "--opt-pipeline", "cp"]) == 0
+        assert self._last_run_pipeline() == "none"
 
     def test_report_prints_pass_table(self, capsys):
         assert main(["report", "lattice", "-n", "2"]) == 0

@@ -1,18 +1,31 @@
 """Tests for the LaminarIR lowering: compile-time queues, splitter/joiner
 elimination, loop-carried tokens, unrolling and if-conversion."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import compile_source
 from repro.frontend.errors import LoweringError, RateError
+from repro.graph.nodes import JoinerVertex, SplitterVertex
 from repro.lir import (BinOp, LoweringOptions, MoveOp, PrintOp, SelectOp,
-                       StoreOp, lower)
+                       StoreOp, lower, verify)
 from repro.lir.ops import CallOp, LoadOp
+from repro.suite import benchmark_names, benchmark_source
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
 float->void filter Snk() { work pop 1 { println(pop()); } }
 """
+
+# The 12 suite programs, their static-input variants and the fuzz corpus.
+LOWERING_CORPUS = (
+    [pytest.param(benchmark_source(name), id=name)
+     for name in benchmark_names()]
+    + [pytest.param(benchmark_source(name, static_input=True),
+                    id=f"{name}-static") for name in benchmark_names()]
+    + [pytest.param(path.read_text(), id=path.name) for path in sorted(
+        (Path(__file__).parent / "fuzz_corpus").glob("*.str"))])
 
 
 def lower_program(body, lowering=None):
@@ -87,6 +100,21 @@ class TestSplitterJoinerElimination:
         moves = [op for op in program.steady if isinstance(op, MoveOp)]
         # splitter: 2 moves per token; joiner: 2 moves per iteration
         assert len(moves) == 4
+
+    @pytest.mark.parametrize("source", LOWERING_CORPUS)
+    def test_moves_only_without_elimination(self, source):
+        # Lowering forwards token names, so the only copies it ever emits
+        # are the ablation's routing moves (the verifier also rejects a
+        # same-type cast): the optimizer has no copies to propagate.
+        stream = compile_source(source)
+        routes = any(isinstance(vertex, (SplitterVertex, JoinerVertex))
+                     for vertex in stream.graph.vertices)
+        for eliminate in (True, False):
+            options = LoweringOptions(eliminate_splitjoin=eliminate)
+            program = verify(lower(stream.schedule, stream.source, options))
+            moves = [op for _title, ops in program.sections() for op in ops
+                     if isinstance(op, MoveOp)]
+            assert bool(moves) == (routes and not eliminate)
 
     def test_duplicate_split_shares_one_value(self):
         program = lower_program(

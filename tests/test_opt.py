@@ -5,11 +5,12 @@ import pytest
 from repro import compile_source
 from repro.frontend.types import FLOAT, INT
 from repro.interp import LaminarInterpreter
-from repro.lir import (BinOp, CallOp, LoadOp, MoveOp, PrintOp, Program,
-                       StateSlot, StoreOp, Temp, const_float, const_int)
+from repro.lir import (BinOp, CallOp, LoadOp, PrintOp, Program, StateSlot,
+                       StoreOp, Temp, const_float, const_int)
 from repro.opt import (OptOptions, common_subexpression_elimination,
-                       constant_folding, copy_propagation,
-                       dead_code_elimination, optimize, promote_state)
+                       constant_folding, dead_code_elimination, optimize,
+                       promote_state)
+from repro.suite import benchmark_names, load_benchmark
 
 PREAMBLE = """
 void->float filter Src() { work push 1 { push(randf()); } }
@@ -19,47 +20,6 @@ float->void filter Snk() { work pop 1 { println(pop()); } }
 
 def make_program():
     return Program(name="test")
-
-
-class TestCopyPropagation:
-    def test_move_forwarded(self):
-        program = make_program()
-        a = Temp(FLOAT)
-        b = Temp(FLOAT)
-        program.steady = [
-            CallOp(result=a, name="randf", args=[], pure=False),
-            MoveOp(result=b, src=a),
-            PrintOp(result=None, value=b),
-        ]
-        removed = copy_propagation(program)
-        assert removed == 1
-        assert isinstance(program.steady[-1], PrintOp)
-        assert program.steady[-1].value is a
-
-    def test_move_chain(self):
-        program = make_program()
-        a, b, c = Temp(FLOAT), Temp(FLOAT), Temp(FLOAT)
-        program.steady = [
-            CallOp(result=a, name="randf", args=[], pure=False),
-            MoveOp(result=b, src=a),
-            MoveOp(result=c, src=b),
-            PrintOp(result=None, value=c),
-        ]
-        copy_propagation(program)
-        assert program.steady[-1].value is a
-
-    def test_carry_lists_rewritten(self):
-        program = make_program()
-        a, b = Temp(FLOAT), Temp(FLOAT)
-        program.init = [
-            CallOp(result=a, name="randf", args=[], pure=False),
-            MoveOp(result=b, src=a),
-        ]
-        program.carry_params = [Temp(FLOAT)]
-        program.carry_inits = [b]
-        program.carry_nexts = [program.carry_params[0]]
-        copy_propagation(program)
-        assert program.carry_inits == [a]
 
 
 class TestConstantFolding:
@@ -498,14 +458,32 @@ class TestPassManagerConfig:
 
     def test_parse_pipeline_resolves_aliases(self):
         from repro.opt import parse_pipeline
-        assert parse_pipeline("cp,promote,fold,cse,dce") == (
-            "copy_propagation", "promote_state", "constant_folding",
+        assert parse_pipeline("promote,fold,cse,dce") == (
+            "promote_state", "constant_folding",
             "common_subexpression_elimination", "dead_code_elimination")
 
     def test_parse_pipeline_rejects_unknown_pass(self):
         from repro.opt import parse_pipeline
         with pytest.raises(ValueError, match="unknown optimizer pass"):
-            parse_pipeline("cp,frobnicate")
+            parse_pipeline("fold,frobnicate")
+
+    def test_removed_copy_propagation_is_dropped_with_warning(self):
+        from repro.opt import parse_pipeline
+        for spelling in ("cp", "copy_propagation"):
+            with pytest.warns(FutureWarning, match="removed"):
+                assert parse_pipeline(f"{spelling},fold") == (
+                    "constant_folding",)
+        with pytest.warns(FutureWarning):
+            assert OptOptions(pipeline=("cp",)).resolved_pipeline() == ()
+
+    def test_pipeline_label(self):
+        assert OptOptions().pipeline_label() == "default"
+        assert OptOptions.none().pipeline_label() == "none"
+        assert OptOptions(pipeline="").pipeline_label() == "none"
+        assert OptOptions(pipeline="fold,dce").pipeline_label() == \
+            "constant_folding,dead_code_elimination"
+        with pytest.warns(FutureWarning):
+            assert OptOptions(pipeline="cp").pipeline_label() == "none"
 
     def test_pipeline_assignment_coerces_and_validates(self):
         # Every assignment path normalizes to a canonical tuple[str,...]
@@ -530,9 +508,9 @@ class TestPassManagerConfig:
         from repro.lir import lower
         program = lower(demo_stream.schedule, demo_stream.source)
         stats = optimize(program, OptOptions(
-            pipeline=("cp", "fold", "dce")))
+            pipeline=("fold", "dce")))
         names = {stat.name for stat in stats.pass_stats}
-        assert "copy_propagation" in names
+        assert {"constant_folding", "dead_code_elimination"} <= names
         assert "promote_state" not in names
         assert "common_subexpression_elimination" not in names
         assert "schedule_for_pressure" not in names
@@ -561,8 +539,9 @@ class TestPassManagerConfig:
     def test_pass_stats_reported_in_first_run_order(self, demo_stream):
         stats = demo_stream.lower().opt_stats
         names = [stat.name for stat in stats.pass_stats]
-        assert names[0] == "dead_code_elimination"  # the dense pre-prune
-        assert "copy_propagation" in names
+        # The dense DCE pre-prune runs first, then the default order.
+        assert names[:3] == ["dead_code_elimination", "promote_state",
+                             "reroll_steady"]
         assert all(stat.runs >= 1 for stat in stats.pass_stats)
         folded = sum(stat.changes for stat in stats.pass_stats
                      if stat.name == "constant_folding")
@@ -585,3 +564,14 @@ class TestSuiteIdempotence:
             assert second.converged, name
             for stat in second.pass_stats:
                 assert stat.changes == 0, (name, stat.name)
+
+
+class TestAnalysisLifecycle:
+    """The default pipeline builds the def-use index exactly once: the
+    dense DCE pre-prune, promotion and re-roll run index-free, the
+    fixpoint group builds it, and pressure scheduling comes last."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_default_pipeline_builds_index_once(self, name):
+        stats = load_benchmark(name).lower().opt_stats
+        assert stats.analysis_rebuilds == 1

@@ -127,9 +127,8 @@ class TestRegionFormation:
     def test_standalone_pass_returns_region_count(self):
         stream = compile_source(REPEAT_SOURCE)
         program = lower(stream.schedule, stream.source)
-        # Run the prerequisite cleanups the default pipeline would.
-        optimize(program, OptOptions(
-            pipeline=("copy_propagation", "promote_state")))
+        # Run the prerequisite cleanup the default pipeline would.
+        optimize(program, OptOptions(pipeline=("promote_state",)))
         formed = reroll_steady(program)
         assert formed == len(_regions(program))
         assert formed >= 1

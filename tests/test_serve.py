@@ -264,6 +264,19 @@ class TestNativeRoute:
         body = records[-1]["body"]
         assert body["checksum"] == response["checksum"]
         assert body["flags"]["route"] == "native"
+        assert body["pipeline"] == "default"
+
+    def test_empty_pipeline_is_recorded_as_none(self, client):
+        from repro.obs import ledger as obs_ledger
+
+        response = client.run(source=_program("LedgerNone"), iterations=4,
+                              route="interp", pipeline="")
+        assert response.ok, response.text
+        records = [record for record
+                   in obs_ledger.load_records(target="CountingLedgerNone")
+                   if record["body"]["kind"] == "serve"]
+        assert records, "no serve ledger record appended"
+        assert records[-1]["body"]["pipeline"] == "none"
 
     def test_concurrent_compiles_build_once(self, client, server):
         source = _program("Flight")
@@ -380,8 +393,8 @@ class TestObservability:
         assert root["name"] == "serve.request"
         children = root["children"]
         assert [child["name"] for child in children] == [
-            "serve.parse", "serve.stream", "serve.cache_lookup",
-            "serve.execute", "serve.ledger"]
+            "serve.parse", "serve.admission", "serve.stream",
+            "serve.cache_lookup", "serve.execute", "serve.ledger"]
         assert sum(child["duration_ns"] for child in children) \
             <= root["duration_ns"]
 

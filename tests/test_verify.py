@@ -5,9 +5,9 @@ import pytest
 from repro import compile_source
 from repro.frontend.types import FLOAT, INT
 from repro.graph import to_dot
-from repro.lir import (BinOp, LoadOp, PrintOp, Program, StateSlot, StoreOp,
-                       Temp, VerificationError, const_float, const_int,
-                       verify)
+from repro.lir import (BinOp, CastOp, LoadOp, PrintOp, Program, StateSlot,
+                       StoreOp, Temp, VerificationError, const_float,
+                       const_int, verify)
 from repro.suite import load_benchmark
 
 
@@ -61,6 +61,31 @@ class TestVerifier:
                                  index=const_int(9))]
         with pytest.raises(VerificationError, match="out of bounds"):
             verify(program)
+
+    def test_same_type_cast(self):
+        # Lowering coerces only across types; a same-type cast would be a
+        # copy, and the optimizer has no copy propagation to remove it.
+        program = Program(name="bad")
+        source, copy = Temp(INT), Temp(INT)
+        program.steady = [
+            BinOp(result=source, op="+", lhs=const_int(1),
+                  rhs=const_int(2)),
+            CastOp(result=copy, operand=source),
+            PrintOp(result=None, value=copy),
+        ]
+        with pytest.raises(VerificationError, match="cast to its own type"):
+            verify(program)
+
+    def test_cross_type_cast_passes(self):
+        program = Program(name="ok")
+        source, widened = Temp(INT), Temp(FLOAT)
+        program.steady = [
+            BinOp(result=source, op="+", lhs=const_int(1),
+                  rhs=const_int(2)),
+            CastOp(result=widened, operand=source),
+            PrintOp(result=None, value=widened),
+        ]
+        verify(program)
 
     def test_carry_length_mismatch(self):
         program = Program(name="bad")
